@@ -111,7 +111,6 @@ def build_eval_spec(cfg: dict, args) -> parisi.EvalSpec:
         replications=int(_get(sec, "replications", "eval", default=8)),
         seed=_resolve_seed(cfg, args),
         antithetic=bool(_get(sec, "antithetic", "eval", default=False)),
-        dim_cap=int(_get(sec, "dim_cap", "eval", default=10)),
         threads=args.threads,
     )
 
@@ -320,11 +319,15 @@ def _cmd_rpc_check(cfg, args):
         _check("y_functional_vs_closed_form", ysim[0], closed,
                3.0 * ysim[1] + 1e-12),
     ]
+    levels_x = parisi.level_plan(model, path).x
+    # expected Poisson-Dirichlet mass beyond the top `fanout` arrivals per level
+    trunc = levels_x * float(fanout) ** (1.0 - 1.0 / levels_x) / (1.0 - levels_x)
     comp = {
         "phi_recursion": quad[0], "phi_recursion_se": quad[1],
         "phi_cascade": sim[0], "phi_cascade_se": sim[1],
         "y_closed_form": closed, "y_cascade": ysim[0], "y_cascade_se": ysim[1],
         "fanout": fanout, "replications": reps, "m_sites": m_sites,
+        "levels_x": levels_x, "truncated_mass": trunc,
     }
     return {"value": sim[0], "std_error": sim[1], "components": comp,
             "checks": checks, "backend": spec.backend}
@@ -469,7 +472,6 @@ def main(argv=None) -> int:
     digest = hashlib.sha256(raw_bytes).hexdigest()
     try:
         result = _HANDLERS[args.command](cfg, args)
-        exit_code = EXIT_OK
     except (ConfigError, ValidationError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
@@ -500,7 +502,7 @@ def main(argv=None) -> int:
         print(text)
     if any(not c["pass"] for c in report["checks"]):
         return EXIT_NUMERICAL
-    return exit_code
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -22,12 +22,21 @@ whose theta term can equivalently be written as (1/2) Sum(theta(D)) minus
 (1/2) the integral of Sum(theta(pi(x))) over [0,1]; both forms are computed
 and must agree.
 
+The recursion depends on a path only through its distinct x values, and
+every evaluator reads it through one level plan (``level_plan``): leading
+x = 0 levels sum into one "lead" covariance, a plain expectation; interior
+levels with equal x merge (covariances add); trailing x = 1 levels sum into
+one "trail" covariance C, integrated in closed form, since
+E exp(<sigma, z>) = exp(sigma^T C sigma / 2) moves into each atom's weight
+(``_quad_bonus``).  The plan also carries the matching theta-sum variances.
+
 Two evaluation backends are provided.  Quadrature tensorizes Gauss-Hermite
-nodes per level through a factor of each covariance increment and performs
-the recursion exactly (zero-variance directions are dropped, so duplicated
-levels are transparent).  Monte Carlo grows a sampling tree with fresh
-draws per node and reports a standard error across independent
-replications.
+nodes per plan level through a factor of its covariance and performs the
+recursion exactly (zero-variance directions are dropped).  Monte Carlo
+grows a sampling tree with fresh draws per node and reports a standard
+error across independent replications.  Both raise ``BudgetError`` before
+allocating when points times the widest per-point array would exceed
+``MAX_ENTRIES``.
 
 Lambda coefficients are stored as a flat vector over the upper triangle in
 row-major order: (0,0), (0,1), ..., (0,kappa-1), (1,1), ...
@@ -35,7 +44,7 @@ row-major order: (0,0), (0,1), ..., (0,kappa-1), (1,1), ...
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import minimize
@@ -55,8 +64,12 @@ from .rng import parallel_map, spawn_rng
 #: Below this, an x value is treated as exactly zero (plain expectation branch).
 X_TINY = 1e-8
 
-#: Grid-size guard for either backend.
-MAX_GRID_POINTS = 1 << 24
+#: Above this, an x value is folded analytically as x = 1.
+X_NEAR_ONE = 1.0 - 1e-9
+
+#: Size budget of either backend: grid or tree points times the widest
+#: per-point array (atoms, or lambda slots in the gradient).
+MAX_ENTRIES = 1 << 24
 
 
 # ---------------------------------------------------------------------------
@@ -240,6 +253,83 @@ def _psd_factor(cov: np.ndarray) -> np.ndarray:
     return vecs[:, keep] * np.sqrt(vals[keep])
 
 
+def theta_sums(model: MixedModel, path: Path) -> np.ndarray:
+    """Sum(theta(gamma_j)) for j = 0..r, including gamma_0 = 0."""
+    return np.array([sum_all(theta_matrix(model, g)) for g in path.gammas_full()])
+
+
+def theta_increments(model: MixedModel, path: Path) -> np.ndarray:
+    """Variance increments Sum(theta(gamma_j)) - Sum(theta(gamma_{j-1}))."""
+    diffs = np.diff(theta_sums(model, path))
+    if np.any(diffs < -1e-10):
+        raise ValidationError("theta sums decrease along the path")
+    return np.clip(diffs, 0.0, None)
+
+
+@dataclass(frozen=True)
+class LevelPlan:
+    """Summed x = 0 (``lead``) and x = 1 (``trail``) covariances, merged
+    interior levels ``x`` and ``covs``, and their theta-sum variances ``y_*``.
+    """
+
+    lead: np.ndarray
+    x: np.ndarray
+    covs: list
+    trail: np.ndarray
+    y_lead: float
+    y: np.ndarray
+    y_trail: float
+
+
+def level_plan(model: MixedModel, path: Path) -> LevelPlan:
+    """Collapse the levels of ``path`` as the module docstring describes."""
+    covs = increments(model, path)
+    yv = theta_increments(model, path)
+    lead = np.zeros((path.kappa, path.kappa))
+    trail = np.zeros((path.kappa, path.kappa))
+    y_lead = y_trail = 0.0
+    xs, zs, ys = [], [], []
+    for xj, cz, cy in zip(path.x, covs, yv):
+        if xj < X_TINY:
+            lead += cz
+            y_lead += cy
+        elif xj > X_NEAR_ONE:
+            trail += cz
+            y_trail += cy
+        elif xs and abs(xs[-1] - xj) < 1e-12:
+            zs[-1] = zs[-1] + cz
+            ys[-1] = ys[-1] + cy
+        else:
+            xs.append(float(xj))
+            zs.append(cz)
+            ys.append(cy)
+    return LevelPlan(lead, np.array(xs), zs, trail, y_lead, np.array(ys), y_trail)
+
+
+def _quad_bonus(prior: SpinPrior, cov: np.ndarray) -> np.ndarray | None:
+    """Per-atom bonus (1/2) sigma^T cov sigma from analytically folded levels."""
+    if not np.any(cov):
+        return None
+    return 0.5 * np.einsum("ak,kl,al->a", prior.points, cov, prior.points)
+
+
+def _plan_factors(model, prior, path):
+    """(x values, covariance factors, x = 1 bonus) of the plan, lead first."""
+    if prior.kappa != path.kappa:
+        raise ValidationError("prior and path disagree on kappa")
+    plan = level_plan(model, path)
+    factors = [_psd_factor(c) for c in (plan.lead, *plan.covs)]
+    return np.append(0.0, plan.x), factors, _quad_bonus(prior, plan.trail)
+
+
+def _check_budget(points: int, width: int, what: str) -> None:
+    if points * width > MAX_ENTRIES:
+        raise BudgetError(
+            f"{what} of {points} points x {width} entries exceeds the budget of "
+            f"{MAX_ENTRIES} entries; reduce nodes, samples, levels or atoms"
+        )
+
+
 # ---------------------------------------------------------------------------
 # evaluation specs
 
@@ -249,9 +339,9 @@ class EvalSpec:
     """How to evaluate the Gaussian recursion.
 
     quadrature: tensorized Gauss-Hermite with ``nodes_per_level`` nodes per
-    scalar dimension; exact, std_error 0; refused when kappa*r exceeds
-    ``dim_cap``.  monte_carlo: ``samples_per_level`` child draws per node,
-    ``replications`` independent trees for the standard error.
+    scalar dimension of each plan level; exact, std_error 0.  monte_carlo:
+    ``samples_per_level`` child draws per node, ``replications`` independent
+    trees for the standard error.  Either is refused beyond ``MAX_ENTRIES``.
     """
 
     backend: str = "quadrature"
@@ -260,7 +350,6 @@ class EvalSpec:
     replications: int = 8
     seed: int = 0
     antithetic: bool = False
-    dim_cap: int = 10
     threads: int = 1
 
     def __post_init__(self):
@@ -285,7 +374,6 @@ class OptimizerSpec:
     max_iter: int = 500
     step: float = 0.1
     grad_tol: float = 1e-8
-    fd_step: float = 1e-4
     multistarts: int = 8
     alternations: int = 6
     path_steps: int = 60
@@ -390,27 +478,17 @@ def _quad_levels(factors, n_nodes):
     return levels
 
 
-def _assemble_grid(levels):
-    """Stack per-level offsets into the full tensor grid of field sums."""
-    total = 1
+def _phi_quad(model, prior, lam, path, nodes, external_field=None,
+              extra_const=0.0, want_grad=False):
+    """The recursion by tensor Gauss-Hermite quadrature over the level plan."""
+    x_seq, factors, bonus = _plan_factors(model, prior, path)
+    width = max(prior.n_atoms, path.kappa, lambda_size(path.kappa) if want_grad else 0)
+    _check_budget(nodes ** sum(f.shape[1] for f in factors), width, "quadrature grid")
+    levels = _quad_levels(factors, nodes)
+    z = np.zeros((1, path.kappa))
     for offs, _ in levels:
-        total *= offs.shape[0]
-        if total > MAX_GRID_POINTS:
-            raise BudgetError(
-                f"evaluation grid would exceed {MAX_GRID_POINTS} points; "
-                "reduce nodes or samples per level"
-            )
-    kappa = levels[0][0].shape[1]
-    z = np.zeros((1, kappa))
-    for offs, _ in levels:
-        z = (z[:, None, :] + offs[None, :, :]).reshape(-1, kappa)
-    return z
-
-
-def _phi_from_levels(prior, lam, levels, x_seq, external_field=None,
-                     quad_bonus=None, extra_const=0.0, want_grad=False):
-    z = _assemble_grid(levels)
-    scores = _inner_scores(prior, lam, z, external_field, quad_bonus)
+        z = (z[:, None, :] + offs[None, :, :]).reshape(-1, path.kappa)
+    scores = _inner_scores(prior, lam, z, external_field, bonus)
     values = _logsumexp_rows(scores) + extra_const
     logws = [lw for _, lw in levels]
     if not want_grad:
@@ -422,7 +500,7 @@ def _phi_from_levels(prior, lam, levels, x_seq, external_field=None,
 
 def _mc_levels(factors, spec: EvalSpec, rng):
     """Sampling-tree levels: fresh child draws per parent node."""
-    kappa = factors[0].shape[0] if factors else 0
+    kappa = factors[0].shape[0]
     z = np.zeros((1, kappa))
     logws = []
     s = spec.samples_per_level
@@ -432,11 +510,6 @@ def _mc_levels(factors, spec: EvalSpec, rng):
             logws.append(np.zeros(1))
             continue
         parents = z.shape[0]
-        if parents * s > MAX_GRID_POINTS:
-            raise BudgetError(
-                f"sampling tree would exceed {MAX_GRID_POINTS} leaves; "
-                "reduce samples_per_level or replications"
-            )
         if spec.antithetic:
             half = rng.standard_normal((parents, s // 2, d))
             u = np.concatenate([half, -half], axis=1)
@@ -447,13 +520,6 @@ def _mc_levels(factors, spec: EvalSpec, rng):
     return z, logws
 
 
-def _phi_mc_once(prior, lam, factors, x_seq, spec, rng, external_field=None):
-    z, logws = _mc_levels(factors, spec, rng)
-    scores = _inner_scores(prior, lam, z, external_field)
-    values = _logsumexp_rows(scores)
-    return _fold(values, logws, x_seq)
-
-
 def eval_phi(model: MixedModel, prior: SpinPrior, lam, path: Path,
              spec: EvalSpec, external_field=None) -> tuple[float, float]:
     """Evaluate the recursion; returns (value, std_error).
@@ -461,23 +527,17 @@ def eval_phi(model: MixedModel, prior: SpinPrior, lam, path: Path,
     Quadrature is exact up to node truncation and reports std_error 0.
     Monte Carlo averages ``spec.replications`` independent sampling trees.
     """
-    if prior.kappa != path.kappa:
-        raise ValidationError("prior and path disagree on kappa")
-    covs = increments(model, path)
-    factors = [_psd_factor(c) for c in covs]
     if spec.is_quadrature:
-        if path.kappa * path.r > spec.dim_cap:
-            raise BudgetError(
-                f"quadrature dimension kappa*r = {path.kappa * path.r} exceeds "
-                f"dim_cap = {spec.dim_cap}; use the monte_carlo backend"
-            )
-        levels = _quad_levels(factors, spec.nodes_per_level)
-        value = _phi_from_levels(prior, lam, levels, path.x, external_field)
+        value = _phi_quad(model, prior, lam, path, spec.nodes_per_level, external_field)
         return value, 0.0
+    x_seq, factors, bonus = _plan_factors(model, prior, path)
+    leaves = spec.samples_per_level ** sum(f.shape[1] > 0 for f in factors)
+    _check_budget(leaves, max(prior.n_atoms, path.kappa), "sampling tree")
 
     def one(rep: int) -> float:
-        rng = spawn_rng(spec.seed, rep)
-        return _phi_mc_once(prior, lam, factors, path.x, spec, rng, external_field)
+        z, logws = _mc_levels(factors, spec, spawn_rng(spec.seed, rep))
+        scores = _inner_scores(prior, lam, z, external_field, bonus)
+        return _fold(_logsumexp_rows(scores), logws, x_seq)
 
     vals = np.array(parallel_map(one, spec.replications, spec.threads))
     se = float(vals.std(ddof=1) / math.sqrt(len(vals))) if len(vals) > 1 else 0.0
@@ -526,10 +586,7 @@ def eval_phi_smoothed(model, prior, lam, path, spec: EvalSpec,
     shift = 0.0
     for lc in lam:
         shift += float(np.log(np.sum(w1 * np.exp(lc * math.sqrt(delta) * z1))))
-    covs = increments(model, path)
-    factors = [_psd_factor(c) for c in covs]
-    levels = _quad_levels(factors, spec.nodes_per_level)
-    value = _phi_from_levels(prior, lam, levels, path.x, extra_const=shift)
+    value = _phi_quad(model, prior, lam, path, spec.nodes_per_level, extra_const=shift)
     return value, 0.0
 
 
@@ -544,13 +601,8 @@ def phi_grad_lambda(model, prior, lam, path, spec: EvalSpec,
     """
     lam = lambda_validate(lam, prior.kappa)
     if spec.is_quadrature:
-        covs = increments(model, path)
-        factors = [_psd_factor(c) for c in covs]
-        levels = _quad_levels(factors, spec.nodes_per_level)
-        value, grad = _phi_from_levels(
-            prior, lam, levels, path.x, external_field, want_grad=True
-        )
-        return value, grad
+        return _phi_quad(model, prior, lam, path, spec.nodes_per_level,
+                         external_field, want_grad=True)
     h = 1e-4
     value, _ = eval_phi(model, prior, lam, path, spec, external_field)
     grad = np.zeros_like(lam)
@@ -571,15 +623,12 @@ def phi_grad_lambda(model, prior, lam, path, spec: EvalSpec,
 
 def theta_correction(model: MixedModel, path: Path) -> float:
     """(1/2) sum_j x_j Sum(theta(gamma_{j+1}) - theta(gamma_j))."""
-    full = path.gammas_full()
-    sums = np.array([sum_all(theta_matrix(model, g)) for g in full])
-    return 0.5 * float(np.sum(path.x * np.diff(sums)))
+    return 0.5 * float(np.sum(path.x * np.diff(theta_sums(model, path))))
 
 
 def theta_correction_rearranged(model: MixedModel, path: Path) -> float:
     """Same correction via (1/2)[Sum(theta(D)) - int Sum(theta(pi(x))) dx]."""
-    full = path.gammas_full()
-    sums = np.array([sum_all(theta_matrix(model, g)) for g in full])
+    sums = theta_sums(model, path)
     fullx = np.concatenate([[0.0], path.x, [1.0]])
     integral = float(np.sum(np.diff(fullx) * sums))
     return 0.5 * (sums[-1] - integral)
@@ -765,6 +814,7 @@ class OptimizeResult:
     hull_weights: np.ndarray
     converged: bool
     ordering_values: dict
+    stop_reason: str | None = None  # why the winning start's outer ascent stopped
 
     def to_dict(self) -> dict:
         return {
@@ -775,6 +825,7 @@ class OptimizeResult:
             "hull_weights": self.hull_weights.tolist(),
             "converged": self.converged,
             "ordering_values": self.ordering_values,
+            "stop_reason": self.stop_reason,
         }
 
 
@@ -807,14 +858,13 @@ def _inner_minimize(model, prior, d, r, spec, opt, rng, order: str):
             return np.inf
 
     def lam_step(path):
-        res = phi_star(model, prior, d, path, spec, opt, lam0=lam)
-        return res.lam
+        return phi_star(model, prior, d, path, spec, opt, lam0=lam)
 
     vec = pack(xs, fs)
     for round_idx in range(opt.alternations):
         path = _path_from_params(*unpack(vec), d)
         if order == "lambda_first" or round_idx > 0:
-            lam = lam_step(path)
+            lam = lam_step(path).lam
         res = minimize(
             path_objective,
             vec,
@@ -825,9 +875,9 @@ def _inner_minimize(model, prior, d, r, spec, opt, rng, order: str):
         if np.isfinite(res.fun):
             vec = res.x
     path = _path_from_params(*unpack(vec), d)
-    lam = lam_step(path)
-    value = _parisi_value(model, prior, lam, path, spec)
-    return value, lam, path
+    final = lam_step(path)
+    value = _parisi_value(model, prior, final.lam, path, spec)
+    return value, final.lam, path, final.converged
 
 
 def optimize(model: MixedModel, prior: SpinPrior, r: int, spec: EvalSpec,
@@ -838,7 +888,9 @@ def optimize(model: MixedModel, prior: SpinPrior, r: int, spec: EvalSpec,
     (simplex-projected ascent with a finite-difference gradient); the inner
     problem alternates the exact lambda descent with derivative-free path
     descent, run in both orderings, keeping the smaller value.  Degenerate
-    hulls (all generators equal) skip the outer loop.
+    hulls (all generators equal) skip the outer loop.  ``converged`` holds
+    when the winning start's ascent stopped on its gradient or step rule
+    (or the hull is degenerate) and its final lambda descent converged.
     """
     if r < 1:
         raise ValidationError("level budget r must be >= 1")
@@ -857,9 +909,7 @@ def optimize(model: MixedModel, prior: SpinPrior, r: int, spec: EvalSpec,
         return results[best_order], {k: v[0] for k, v in results.items()}
 
     def inner_value(w, start_idx):
-        d = hull.combine(project_simplex(w))
-        (value, _, _), _ = inner(d, start_idx)
-        return value
+        return inner(hull.combine(project_simplex(w)), start_idx)[0][0]
 
     best = None
     n_starts = 1 if degenerate else opt.multistarts
@@ -868,7 +918,9 @@ def optimize(model: MixedModel, prior: SpinPrior, r: int, spec: EvalSpec,
         w = np.full(n, 1.0 / n) if start == 0 else project_simplex(rng.dirichlet(np.ones(n)))
         if degenerate:
             w = np.full(n, 1.0 / n)
+            reason = "degenerate_hull"
         else:
+            reason = "outer_iterations"
             step = opt.outer_step
             value = inner_value(w, start)
             for _ in range(opt.outer_iters):
@@ -882,6 +934,7 @@ def optimize(model: MixedModel, prior: SpinPrior, r: int, spec: EvalSpec,
                         continue
                     grad[j] = (inner_value(wp, start) - inner_value(wm, start)) / (2 * h)
                 if float(np.max(np.abs(grad))) < 1e-10:
+                    reason = "outer_gradient"
                     break
                 w_new = project_simplex(w + step * grad)
                 v_new = inner_value(w_new, start)
@@ -890,10 +943,12 @@ def optimize(model: MixedModel, prior: SpinPrior, r: int, spec: EvalSpec,
                 else:
                     step *= 0.5
                     if step < 1e-4:
+                        reason = "outer_step"
                         break
         d = hull.combine(w)
-        (value, lam, path), orderings = inner(d, start)
+        (value, lam, path, lam_ok), orderings = inner(d, start)
         if best is None or value > best[0]:
-            best = (value, d, lam, path, w, orderings)
-    value, d, lam, path, w, orderings = best
-    return OptimizeResult(value, d, lam, path, w, True, orderings)
+            best = (value, d, lam, path, w, orderings, reason, lam_ok)
+    value, d, lam, path, w, orderings, reason, lam_ok = best
+    converged = lam_ok and reason != "outer_iterations"
+    return OptimizeResult(value, d, lam, path, w, converged, orderings, reason)

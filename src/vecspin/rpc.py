@@ -18,12 +18,11 @@ independent increment with the level-j covariance, and a leaf value is the
 sum along its path, which realizes covariances that depend on two leaves
 only through their common-ancestor depth.
 
-Boundary x values cannot be simulated directly, so functional estimators
-split the levels: leading x = 0 levels are drawn once per replication
-(their field is shared by every leaf), and trailing x = 1 levels are
-integrated in closed form into the leaf integrand (a Gaussian moment
-identity).  Interior levels with equal x are merged first; the recursion
-collapses them exactly.
+Boundary x values cannot be simulated directly, so the functional
+estimators read the level plan of ``parisi.level_plan`` (described in that
+module's docstring): the lead (x = 0) field is drawn once per replication
+and shared by every leaf, the trail (x = 1) levels enter the leaf integrand
+in closed form, and the tree has one depth per merged interior level.
 """
 from __future__ import annotations
 
@@ -33,21 +32,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .mixing import MixedModel, sum_all, theta_matrix
+from .mixing import MixedModel
 from .parisi import (
-    X_TINY,
     Path,
+    _check_budget,
     _inner_scores,
     _logsumexp_rows,
+    _plan_factors,
     _psd_factor,
     increments,
     lambda_validate,
+    level_plan,
+    theta_increments,
 )
 from .prior import SpinPrior
 from .rng import parallel_map, spawn_rng
-
-#: Above this, an x value is folded analytically as x = 1.
-X_NEAR_ONE = 1.0 - 1e-9
 
 
 @dataclass(frozen=True)
@@ -139,17 +138,6 @@ class TreeGaussianField:
     node_y: list
 
 
-def _y_increments(model: MixedModel, path: Path) -> np.ndarray:
-    """Variance increments Sum(theta(gamma_j)) - Sum(theta(gamma_{j-1}))."""
-    sums = np.array(
-        [sum_all(theta_matrix(model, g)) for g in path.gammas_full()]
-    )
-    diffs = np.diff(sums)
-    if np.any(diffs < -1e-10):
-        raise ValidationError("theta sums decrease along the path")
-    return np.clip(diffs, 0.0, None)
-
-
 def _sample_tree_fields(fanout, z_factors, y_vars, rng):
     """Per-depth increments and their leaf accumulations."""
     kappa = z_factors[0].shape[0] if z_factors else 0
@@ -179,59 +167,13 @@ def sample_fields(tree: CascadeTree, model: MixedModel, path: Path,
         raise ValidationError("tree depth and path level count differ")
     rng = seed if isinstance(seed, np.random.Generator) else spawn_rng(int(seed))
     z_factors = [_psd_factor(c) for c in increments(model, path)]
-    y_vars = _y_increments(model, path)
+    y_vars = theta_increments(model, path)
     node_z, node_y, z, y = _sample_tree_fields(tree.fanout, z_factors, y_vars, rng)
     return TreeGaussianField(tree, z, y, node_z, node_y)
 
 
 # ---------------------------------------------------------------------------
-# level splitting shared by the functional estimators
-
-
-@dataclass(frozen=True)
-class _SplitLevels:
-    lead_z: np.ndarray  # summed covariance of the x = 0 levels
-    lead_y: float
-    core_x: np.ndarray
-    core_z: list  # per-level covariances
-    core_y: np.ndarray
-    trail_z: np.ndarray  # summed covariance of the x = 1 levels
-    trail_y: float
-
-
-def _split_levels(model: MixedModel, path: Path) -> _SplitLevels:
-    covs = increments(model, path)
-    yv = _y_increments(model, path)
-    kappa = path.kappa
-    lead_z = np.zeros((kappa, kappa))
-    trail_z = np.zeros((kappa, kappa))
-    lead_y = trail_y = 0.0
-    core_x, core_z, core_y = [], [], []
-    for xj, cz, cy in zip(path.x, covs, yv):
-        if xj < X_TINY:
-            lead_z += cz
-            lead_y += cy
-        elif xj > X_NEAR_ONE:
-            trail_z += cz
-            trail_y += cy
-        elif core_x and abs(core_x[-1] - xj) < 1e-12:
-            core_z[-1] = core_z[-1] + cz
-            core_y[-1] = core_y[-1] + cy
-        else:
-            core_x.append(float(xj))
-            core_z.append(cz)
-            core_y.append(cy)
-    return _SplitLevels(
-        lead_z, lead_y, np.array(core_x), core_z, np.array(core_y),
-        trail_z, trail_y,
-    )
-
-
-def _quad_bonus(prior: SpinPrior, cov: np.ndarray) -> np.ndarray | None:
-    """Per-atom bonus (1/2) sigma^T cov sigma from analytically folded levels."""
-    if not np.any(cov):
-        return None
-    return 0.5 * np.einsum("ak,kl,al->a", prior.points, cov, prior.points)
+# functional estimators on the level plan
 
 
 def simulate_phi(model: MixedModel, prior: SpinPrior, lam, path: Path,
@@ -244,21 +186,17 @@ def simulate_phi(model: MixedModel, prior: SpinPrior, lam, path: Path,
     levels become a shared field draw; trailing x = 1 levels fold into the
     integrand exactly.
     """
-    if prior.kappa != path.kappa:
-        raise ValidationError("prior and path disagree on kappa")
     lam = lambda_validate(lam, prior.kappa)
     if replications < 1:
         raise ValidationError("replications must be >= 1")
-    split = _split_levels(model, path)
-    lead_f = _psd_factor(split.lead_z)
-    core_f = [_psd_factor(c) for c in split.core_z]
-    bonus = _quad_bonus(prior, split.trail_z)
+    x_seq, (lead_f, *core_f), bonus = _plan_factors(model, prior, path)
+    _check_budget(fanout ** len(core_f), max(prior.n_atoms, path.kappa), "cascade tree")
 
     def one(rep: int) -> float:
         rng = spawn_rng(seed, rep)
         z0 = rng.standard_normal(lead_f.shape[1]) @ lead_f.T
-        if split.core_x.size:
-            tree = sample_cascade(split.core_x, fanout, rng)
+        if core_f:
+            tree = sample_cascade(x_seq[1:], fanout, rng)
             _, _, z_leaf, _ = _sample_tree_fields(fanout, core_f, np.zeros(len(core_f)), rng)
             z = z0[None, :] + z_leaf
             logw = tree.log_weights
@@ -276,7 +214,7 @@ def simulate_phi(model: MixedModel, prior: SpinPrior, lam, path: Path,
 
 def y_functional_closed_form(model: MixedModel, path: Path) -> float:
     """(1/2) sum_j x_j Sum(theta(gamma_{j+1}) - theta(gamma_j))."""
-    return 0.5 * float(np.sum(path.x * _y_increments(model, path)))
+    return 0.5 * float(np.sum(path.x * theta_increments(model, path)))
 
 
 def simulate_y_functional(model: MixedModel, path: Path, m_sites: int,
@@ -290,17 +228,18 @@ def simulate_y_functional(model: MixedModel, path: Path, m_sites: int,
     """
     if m_sites <= 0:
         raise ValidationError("m_sites must be positive")
-    split = _split_levels(model, path)
+    plan = level_plan(model, path)
+    _check_budget(fanout ** plan.x.size, 1, "cascade tree")
     root_m = math.sqrt(m_sites)
-    trail_term = 0.5 * split.trail_y
+    trail_term = 0.5 * plan.y_trail
 
     def one(rep: int) -> float:
         rng = spawn_rng(seed, rep)
-        y0 = math.sqrt(split.lead_y) * rng.standard_normal() if split.lead_y > 0 else 0.0
-        if split.core_x.size:
-            tree = sample_cascade(split.core_x, fanout, rng)
-            zero_f = [np.zeros((path.kappa, 0))] * len(split.core_y)
-            _, _, _, y_leaf = _sample_tree_fields(fanout, zero_f, split.core_y, rng)
+        y0 = math.sqrt(plan.y_lead) * rng.standard_normal() if plan.y_lead > 0 else 0.0
+        if plan.x.size:
+            tree = sample_cascade(plan.x, fanout, rng)
+            zero_f = [np.zeros((path.kappa, 0))] * len(plan.y)
+            _, _, _, y_leaf = _sample_tree_fields(fanout, zero_f, plan.y, rng)
             inner = float(_logsumexp_rows((tree.log_weights + root_m * y_leaf)[None, :])[0])
         else:
             inner = 0.0

@@ -11,7 +11,7 @@ Carlo.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -581,7 +581,6 @@ def gg_discrepancy(model: MixedModel, prior: SpinPrior, spec: PerturbationSpec,
         bc = float(probs @ c_matrix @ probs)
         t3 = []
         for ell in range(1, n_replicas):
-            sub_in = [letters] + [letters[i] for i in range(n_replicas)]
             sub = f"{letters},{letters[0]}{letters[ell]}," + ",".join(
                 letters[i] for i in range(n_replicas)
             )

@@ -127,6 +127,9 @@ class TestChecksAndReports:
         names = {c["name"] for c in report["checks"]}
         assert names == {"simulate_phi_vs_recursion", "y_functional_vs_closed_form"}
         assert all(c["pass"] for c in report["checks"])
+        comp = report["components"]
+        assert len(comp["truncated_mass"]) == len(comp["levels_x"]) >= 1
+        assert all(0.0 < t < 1.0 for t in comp["truncated_mass"])
 
     def test_fe_and_cov_and_gg(self, tmp_path, capsys):
         cfg = write(tmp_path, FE_CONFIG)

@@ -22,6 +22,8 @@ from vecspin import (
     path_distance,
     phi_grad_lambda,
     phi_star,
+    simulate_phi,
+    simulate_y_functional,
 )
 from vecspin.parisi import (
     eval_phi_mc_convergence,
@@ -33,7 +35,13 @@ from vecspin.parisi import (
 )
 from vecspin.rng import spawn_rng
 
-from conftest import random_lambda, random_model, random_path, random_prior
+from conftest import (
+    random_lambda,
+    random_model,
+    random_monotone_gammas,
+    random_path,
+    random_prior,
+)
 
 QUAD = EvalSpec()
 SK_HALF = MixedModel(1, {2: [0.5]})
@@ -184,6 +192,42 @@ class TestEvalPhi:
         vb, _ = eval_phi(SK_HALF, COUNTING_ISING, lam, base_b, QUAD)
         vdb, _ = eval_phi(SK_HALF, COUNTING_ISING, lam, dup_b, QUAD)
         assert vdb == pytest.approx(vb, abs=1e-10)
+        # kappa = 2: repeated x = 0, interior and x = 1 levels collapse
+        rng = spawn_rng(24)
+        m = random_model(rng, 2)
+        prior = random_prior(rng, 2)
+        lam2 = random_lambda(rng, 2)
+        g = random_monotone_gammas(rng, 2, 6)
+        long = Path([0.0, 0.0, 0.45, 0.45, 1.0, 1.0], g)
+        short = Path([0.0, 0.45, 1.0], g[1::2])
+        for fn in (eval_phi, phi_grad_lambda):
+            (vl, gl), (vs, gs) = (fn(m, prior, lam2, p, QUAD) for p in (long, short))
+            assert vl == pytest.approx(vs, abs=1e-12)
+            np.testing.assert_allclose(gl, gs, rtol=0, atol=1e-12)
+        sl, ss = (eval_phi_smoothed(m, prior, lam2, p, QUAD, 0.2)[0] for p in (long, short))
+        assert sl == pytest.approx(ss, abs=1e-12)
+        sims = [simulate_phi(m, prior, lam2, p, fanout=16, replications=8, seed=5)
+                for p in (long, short)]
+        ys = [simulate_y_functional(m, p, 10, fanout=16, replications=8, seed=6)
+              for p in (long, short)]
+        np.testing.assert_allclose(sims[0], sims[1], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(ys[0], ys[1], rtol=0, atol=1e-12)
+
+    def test_budget_counts_points_times_atoms(self):
+        import tracemalloc
+
+        # 16^12 grid points, and 16^5 = 2^20 points x 32 atoms = 2^25 entries
+        wide = Path([0.5], [np.eye(12)])
+        deep = Path([0.1, 0.3, 0.5, 0.7, 0.9], np.linspace(0.2, 1.0, 5)[:, None, None])
+        cases = [(MixedModel(12, {2: np.full(12, 0.3)}), random_prior(spawn_rng(25), 12), wide),
+                 (SK_HALF, random_prior(spawn_rng(25), 1, n_atoms=32), deep)]
+        for m, prior, path in cases:
+            tracemalloc.start()
+            with pytest.raises(BudgetError):
+                eval_phi(m, prior, lambda_zero(prior.kappa), path, QUAD)
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+            assert peak < 1 << 20
 
     def test_mc_convergence_report(self):
         spec = EvalSpec(backend="monte_carlo", samples_per_level=100,
@@ -419,3 +463,12 @@ class TestOptimize:
         rs = math.log(2.0) + 0.3**2 / 2
         assert res.value == pytest.approx(rs, abs=5e-3)
         assert set(res.ordering_values) == {"lambda_first", "path_first"}
+        assert res.to_dict()["stop_reason"] == "degenerate_hull"
+
+    def test_outer_budget_is_not_convergence(self):
+        prior = SpinPrior.from_atoms([([1.0], 0.4), ([-1.0], 0.4), ([0.0], 0.2)])
+        opt = OptimizerSpec(multistarts=1, alternations=1, path_steps=5,
+                            outer_iters=0, seed=6)
+        res = optimize(MixedModel(1, {2: [0.3]}), prior, 1, QUAD, opt)
+        assert res.stop_reason == "outer_iterations"
+        assert not res.converged
