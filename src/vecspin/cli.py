@@ -320,8 +320,11 @@ def _cmd_rpc_check(cfg, args):
                3.0 * ysim[1] + 1e-12),
     ]
     levels_x = parisi.level_plan(model, path).x
-    # expected Poisson-Dirichlet mass beyond the top `fanout` arrivals per level
-    trunc = levels_x * float(fanout) ** (1.0 - 1.0 / levels_x) / (1.0 - levels_x)
+    # share T/(H+T) of a level's Poisson-Dirichlet mass lost by keeping the top
+    # `fanout` arrivals: H sums the kept i^(-1/x), T is the expected tail
+    tail = levels_x * float(fanout) ** (1.0 - 1.0 / levels_x) / (1.0 - levels_x)
+    head = (np.arange(1, fanout + 1)[:, None] ** (-1.0 / levels_x)).sum(axis=0)
+    trunc = tail / (head + tail)
     comp = {
         "phi_recursion": quad[0], "phi_recursion_se": quad[1],
         "phi_cascade": sim[0], "phi_cascade_se": sim[1],

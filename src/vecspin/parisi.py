@@ -34,20 +34,27 @@ Two evaluation backends are provided.  Quadrature tensorizes Gauss-Hermite
 nodes per plan level through a factor of its covariance and performs the
 recursion exactly (zero-variance directions are dropped).  Monte Carlo
 grows a sampling tree with fresh draws per node and reports a standard
-error across independent replications.  Both raise ``BudgetError`` before
-allocating when points times the widest per-point array would exceed
-``MAX_ENTRIES``.
+error across independent replications.  Both score field values with one
+bottom-layer kernel (``_bottom``, atom-major: atoms x points), which the
+cascade estimators in ``rpc`` share, and collapse levels with one fold.
+
+``MAX_ENTRIES`` bounds work: both backends raise ``BudgetError`` before
+allocating when points times the widest per-point array would exceed it.
+Memory is bounded by a block: quadrature walks its grid in blocks of at
+most ``BLOCK_ENTRIES`` entries and folds each block before the next, so
+only per-block arrays and one value per outer grid point are held.  The
+Monte Carlo tree is held whole.
 
 Lambda coefficients are stored as a flat vector over the upper triangle in
 row-major order: (0,0), (0,1), ..., (0,kappa-1), (1,1), ...
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import BudgetError, NumericalError, ValidationError
 from .mixing import (
@@ -67,9 +74,14 @@ X_TINY = 1e-8
 #: Above this, an x value is folded analytically as x = 1.
 X_NEAR_ONE = 1.0 - 1e-9
 
-#: Size budget of either backend: grid or tree points times the widest
-#: per-point array (atoms, or lambda slots in the gradient).
+#: Work budget of either backend: grid or tree points times the widest
+#: per-point array (atoms, kappa, or lambda slots in the gradient).
 MAX_ENTRIES = 1 << 24
+
+#: Entries (points times that width) in one block of the tensor quadrature;
+#: it bounds the quadrature's memory.  A block's arrays then stay in cache:
+#: 2^14 (128 KiB per float array) ran fastest in a sweep of 2^12..2^18.
+BLOCK_ENTRIES = 1 << 14
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +353,9 @@ class EvalSpec:
     quadrature: tensorized Gauss-Hermite with ``nodes_per_level`` nodes per
     scalar dimension of each plan level; exact, std_error 0.  monte_carlo:
     ``samples_per_level`` child draws per node, ``replications`` independent
-    trees for the standard error.  Either is refused beyond ``MAX_ENTRIES``.
+    trees for the standard error.  Either is refused beyond ``MAX_ENTRIES``,
+    a bound on work; quadrature memory is bounded by one block of
+    ``BLOCK_ENTRIES`` entries, Monte Carlo memory by the whole tree.
     """
 
     backend: str = "quadrature"
@@ -383,25 +397,40 @@ class OptimizerSpec:
 
 
 # ---------------------------------------------------------------------------
-# inner integral
+# inner integral: the bottom layer
 
 
-def _inner_scores(prior, lam, z, external_field=None, quad_bonus=None):
-    """Per-atom log integrand over a batch of field values z (P, kappa)."""
-    lam = lambda_validate(lam, prior.kappa)
-    pair = _atom_pair_products(prior)
-    base = pair @ lam + prior.log_weights()
+def _logsumexp(a: np.ndarray, axis: int = -1) -> np.ndarray:
+    """log sum exp along ``axis``, with a max shift so large entries are safe."""
+    m = a.max(axis=axis, keepdims=True)
+    return np.squeeze(m, axis) + np.log(np.exp(a - m).sum(axis=axis))
+
+
+def _atom_base(prior: SpinPrior, lam, external_field=None, quad_bonus=None) -> np.ndarray:
+    """Per-atom constant of the inner integrand, (n_atoms,): the lambda term,
+    the log weight, the x = 1 bonus and the external field term <sigma, h>."""
+    base = _atom_pair_products(prior) @ lambda_validate(lam, prior.kappa)
+    base = base + prior.log_weights()
     if quad_bonus is not None:
         base = base + quad_bonus
-    z = np.atleast_2d(np.asarray(z, dtype=float))
     if external_field is not None:
-        z = z + np.asarray(external_field, dtype=float)
-    return z @ prior.points.T + base
+        base = base + prior.points @ np.asarray(external_field, dtype=float)
+    return base
 
 
-def _logsumexp_rows(scores: np.ndarray) -> np.ndarray:
-    m = scores.max(axis=1, keepdims=True)
-    return m[:, 0] + np.log(np.exp(scores - m).sum(axis=1))
+def _bottom(points: np.ndarray, base: np.ndarray, z: np.ndarray, pair=None):
+    """The bottom layer over field values z (P, kappa), atom-major.
+
+    Scores <sigma, z> + base form an (n_atoms, P) array that is reduced
+    along axis 0 into the per-point log of the weighted atom sum.  With
+    ``pair`` (n_atoms, C) it also returns the per-point Gibbs averages of
+    the pair products, (C, P), the bottom of the lambda gradient; else None.
+    """
+    scores = points @ z.T + base[:, None]
+    values = _logsumexp(scores, axis=0)
+    if pair is None:
+        return values, None
+    return values, pair.T @ np.exp(scores - values)
 
 
 def eval_inner(prior: SpinPrior, lam, z_sum, external_field=None) -> float:
@@ -409,9 +438,8 @@ def eval_inner(prior: SpinPrior, lam, z_sum, external_field=None) -> float:
 
     Computed with a max shift, so large fields are safe.
     """
-    scores = _inner_scores(prior, lam, np.asarray(z_sum, dtype=float)[None, :],
-                           external_field)
-    return float(_logsumexp_rows(scores)[0])
+    z = np.asarray(z_sum, dtype=float).reshape(1, prior.kappa)
+    return float(_bottom(prior.points, _atom_base(prior, lam, external_field), z)[0][0])
 
 
 # ---------------------------------------------------------------------------
@@ -419,45 +447,45 @@ def eval_inner(prior: SpinPrior, lam, z_sum, external_field=None) -> float:
 
 
 def _fold(values, level_logw, x_seq, grads=None):
-    """Collapse the level axes of the recursion from the innermost out.
+    """Collapse the trailing level axes of a grid, innermost first.
 
-    ``values`` has one entry per full tensor grid point, levels laid out
-    row-major (level 1 outermost).  Level i is folded with x_seq[i]; the
-    x = 0 branch is a plain weighted mean.  Gradients, if given, fold with
-    the normalized exp(x X) reweighting of the same levels.
+    ``values`` has one entry per grid point, levels laid out row-major
+    (outermost first), and ``level_logw`` / ``x_seq`` describe its trailing
+    levels; any leading axes stay.  Level i is folded with x_seq[i]; the
+    x = 0 branch is a plain weighted mean.  Gradients ``grads`` (C, points),
+    if given, fold with the normalized exp(x X) reweighting of the same
+    levels.  Returns (values, grads) over the remaining leading points.
     """
     v = values
     g = grads
-    for i in reversed(range(len(level_logw))):
-        lw = level_logw[i]
+    for lw, x in zip(reversed(level_logw), reversed(x_seq)):
         n = lw.size
-        x = float(x_seq[i])
         v = v.reshape(-1, n)
         if g is not None:
-            g = g.reshape(v.shape[0], n, -1)
+            g = g.reshape(g.shape[0], v.shape[0], n)
         if x < X_TINY:
             w = np.exp(lw)
             if g is not None:
-                g = np.einsum("pnc,n->pc", g, w)
+                g = g @ w
             v = v @ w
         else:
             a = x * v + lw
-            m = a.max(axis=1, keepdims=True)
-            ls = m[:, 0] + np.log(np.exp(a - m).sum(axis=1))
+            ls = _logsumexp(a)
             if g is not None:
-                s = np.exp(a - ls[:, None])
-                g = np.einsum("pn,pnc->pc", s, g)
+                g = np.einsum("pn,cpn->cp", np.exp(a - ls[:, None]), g)
             v = ls / x
-    value = float(v[0])
-    if g is not None:
-        return value, g[0]
-    return value
+    return v, g
 
 
+@functools.lru_cache(maxsize=32)
 def _gh_nodes(n: int):
-    """Nodes and weights for expectations against a standard normal."""
+    """Nodes and weights for expectations against a standard normal (read-only)."""
     z, w = np.polynomial.hermite.hermgauss(n)
-    return z * math.sqrt(2.0), w / math.sqrt(math.pi)
+    z = z * math.sqrt(2.0)
+    w = w / math.sqrt(math.pi)
+    z.flags.writeable = False
+    w.flags.writeable = False
+    return z, w
 
 
 def _quad_levels(factors, n_nodes):
@@ -478,24 +506,53 @@ def _quad_levels(factors, n_nodes):
     return levels
 
 
+def _grow(z, offsets):
+    """Every point of z plus every offset, row-major: (len(z) * n, kappa)."""
+    return (z[:, None, :] + offsets[None, :, :]).reshape(-1, z.shape[1])
+
+
 def _phi_quad(model, prior, lam, path, nodes, external_field=None,
               extra_const=0.0, want_grad=False):
-    """The recursion by tensor Gauss-Hermite quadrature over the level plan."""
+    """The recursion by tensor Gauss-Hermite quadrature over the level plan.
+
+    The grid is walked in blocks of at most ``BLOCK_ENTRIES`` entries (or
+    of one innermost-level grid, when that alone is larger).  The plan's
+    levels split into an outer prefix and the longest inner suffix whose
+    points x width fit one block.  A block is a run of prefixes with their
+    whole suffix grids, in the row-major order of the full grid: it is
+    scored, reduced over atoms and folded over the suffix levels.  The
+    outer levels are folded last, over the per-prefix values.
+    """
     x_seq, factors, bonus = _plan_factors(model, prior, path)
     width = max(prior.n_atoms, path.kappa, lambda_size(path.kappa) if want_grad else 0)
     _check_budget(nodes ** sum(f.shape[1] for f in factors), width, "quadrature grid")
     levels = _quad_levels(factors, nodes)
-    z = np.zeros((1, path.kappa))
-    for offs, _ in levels:
-        z = (z[:, None, :] + offs[None, :, :]).reshape(-1, path.kappa)
-    scores = _inner_scores(prior, lam, z, external_field, bonus)
-    values = _logsumexp_rows(scores) + extra_const
+    base = _atom_base(prior, lam, external_field, bonus)
+    pair = _atom_pair_products(prior) if want_grad else None
+    cut = len(levels) - 1
+    inner = levels[cut][1].size
+    while cut > 0 and inner * levels[cut - 1][1].size * width <= BLOCK_ENTRIES:
+        cut -= 1
+        inner *= levels[cut][1].size
+    prefixes = np.zeros((1, path.kappa))
+    for offs, _ in levels[:cut]:
+        prefixes = _grow(prefixes, offs)
     logws = [lw for _, lw in levels]
-    if not want_grad:
-        return _fold(values, logws, x_seq)
-    probs = np.exp(scores - values[:, None] + extra_const)
-    grads = probs @ _atom_pair_products(prior)
-    return _fold(values, logws, x_seq, grads=grads)
+    step = max(1, BLOCK_ENTRIES // (inner * width))
+    vals, grads = [], []
+    for start in range(0, prefixes.shape[0], step):
+        z = prefixes[start:start + step]
+        for offs, _ in levels[cut:]:
+            z = _grow(z, offs)
+        v, g = _bottom(prior.points, base, z, pair)
+        v, g = _fold(v + extra_const, logws[cut:], x_seq[cut:], g)
+        vals.append(v)
+        grads.append(g)
+    v, g = _fold(np.concatenate(vals), logws[:cut], x_seq[:cut],
+                 np.concatenate(grads, axis=1) if want_grad else None)
+    if want_grad:
+        return float(v[0]), g[:, 0]
+    return float(v[0])
 
 
 def _mc_levels(factors, spec: EvalSpec, rng):
@@ -533,11 +590,11 @@ def eval_phi(model: MixedModel, prior: SpinPrior, lam, path: Path,
     x_seq, factors, bonus = _plan_factors(model, prior, path)
     leaves = spec.samples_per_level ** sum(f.shape[1] > 0 for f in factors)
     _check_budget(leaves, max(prior.n_atoms, path.kappa), "sampling tree")
+    base = _atom_base(prior, lam, external_field, bonus)
 
     def one(rep: int) -> float:
         z, logws = _mc_levels(factors, spec, spawn_rng(spec.seed, rep))
-        scores = _inner_scores(prior, lam, z, external_field, bonus)
-        return _fold(_logsumexp_rows(scores), logws, x_seq)
+        return float(_fold(_bottom(prior.points, base, z)[0], logws, x_seq)[0][0])
 
     vals = np.array(parallel_map(one, spec.replications, spec.threads))
     se = float(vals.std(ddof=1) / math.sqrt(len(vals))) if len(vals) > 1 else 0.0
@@ -859,6 +916,8 @@ def _inner_minimize(model, prior, d, r, spec, opt, rng, order: str):
 
     def lam_step(path):
         return phi_star(model, prior, d, path, spec, opt, lam0=lam)
+
+    from scipy.optimize import minimize  # deferred: slow to import, only Powell needs it
 
     vec = pack(xs, fs)
     for round_idx in range(opt.alternations):

@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .errors import InfeasibleError, NumericalError, ValidationError
 from .mixing import PSD_TOL, validate_gram
@@ -161,6 +160,8 @@ def hull_membership(hull: ConstraintHull, d, tol: float = 1e-8) -> HullMembershi
     b_ub[n_entries:] = -target
     a_eq = np.zeros((1, n + 1))
     a_eq[0, :n] = 1.0
+    from scipy.optimize import linprog  # deferred: slow to import, only this LP needs it
+
     res = linprog(
         c,
         A_ub=a_ub,

@@ -35,13 +35,13 @@ from .errors import ValidationError
 from .mixing import MixedModel
 from .parisi import (
     Path,
+    _atom_base,
+    _bottom,
     _check_budget,
-    _inner_scores,
-    _logsumexp_rows,
+    _logsumexp,
     _plan_factors,
     _psd_factor,
     increments,
-    lambda_validate,
     level_plan,
     theta_increments,
 )
@@ -119,7 +119,7 @@ def sample_cascade(x, fanout: int, seed) -> CascadeTree:
         arrivals = rng.exponential(size=(parents, fanout)).cumsum(axis=1)
         child_log = -np.log(arrivals) / zeta
         logw = (logw[:, None] + child_log).reshape(-1)
-    logw = logw - _logsumexp_rows(logw[None, :])[0]
+    logw = logw - _logsumexp(logw)
     return CascadeTree(x, int(fanout), logw)
 
 
@@ -186,11 +186,11 @@ def simulate_phi(model: MixedModel, prior: SpinPrior, lam, path: Path,
     levels become a shared field draw; trailing x = 1 levels fold into the
     integrand exactly.
     """
-    lam = lambda_validate(lam, prior.kappa)
     if replications < 1:
         raise ValidationError("replications must be >= 1")
     x_seq, (lead_f, *core_f), bonus = _plan_factors(model, prior, path)
     _check_budget(fanout ** len(core_f), max(prior.n_atoms, path.kappa), "cascade tree")
+    base = _atom_base(prior, lam, external_field, bonus)
 
     def one(rep: int) -> float:
         rng = spawn_rng(seed, rep)
@@ -203,9 +203,8 @@ def simulate_phi(model: MixedModel, prior: SpinPrior, lam, path: Path,
         else:
             z = z0[None, :]
             logw = np.zeros(1)
-        scores = _inner_scores(prior, lam, z, external_field, bonus)
-        vals = _logsumexp_rows(scores)
-        return float(_logsumexp_rows((logw + vals)[None, :])[0])
+        vals, _ = _bottom(prior.points, base, z)
+        return float(_logsumexp(logw + vals))
 
     vals = np.array(parallel_map(one, replications, threads))
     se = float(vals.std(ddof=1) / math.sqrt(len(vals))) if len(vals) > 1 else 0.0
@@ -240,7 +239,7 @@ def simulate_y_functional(model: MixedModel, path: Path, m_sites: int,
             tree = sample_cascade(plan.x, fanout, rng)
             zero_f = [np.zeros((path.kappa, 0))] * len(plan.y)
             _, _, _, y_leaf = _sample_tree_fields(fanout, zero_f, plan.y, rng)
-            inner = float(_logsumexp_rows((tree.log_weights + root_m * y_leaf)[None, :])[0])
+            inner = float(_logsumexp(tree.log_weights + root_m * y_leaf))
         else:
             inner = 0.0
         return (root_m * y0 + inner) / m_sites + trail_term
@@ -288,8 +287,8 @@ def log_sum_split_check(model: MixedModel, path: Path, parts,
         vals = np.array([np.asarray(p(fields), dtype=float) for p in parts])
         if np.any(vals <= 0):
             raise ValidationError("parts must be positive on every leaf")
-        lhs = _logsumexp_rows((logw + np.log(vals.sum(axis=0)))[None, :])[0]
-        per = [_logsumexp_rows((logw + np.log(v))[None, :])[0] for v in vals]
+        lhs = _logsumexp(logw + np.log(vals.sum(axis=0)))
+        per = [_logsumexp(logw + np.log(v)) for v in vals]
         return float(lhs), per
 
     results = parallel_map(one, replications, threads)

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -120,6 +123,19 @@ class TestValidateAndParisi:
         assert report["components"]["converged"]
 
 
+class TestImport:
+    def test_cli_import_defers_scipy_optimize(self):
+        import vecspin
+
+        src = os.path.dirname(os.path.dirname(vecspin.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        code = "import sys, vecspin.cli; print('scipy.optimize' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, timeout=60, check=True).stdout
+        assert out.strip() == "False"
+
+
 class TestChecksAndReports:
     def test_rpc_check_passes(self, tmp_path, capsys):
         code, report = run(capsys, "rpc-check", "--config", write(tmp_path, RPC_CONFIG))
@@ -130,6 +146,16 @@ class TestChecksAndReports:
         comp = report["components"]
         assert len(comp["truncated_mass"]) == len(comp["levels_x"]) >= 1
         assert all(0.0 < t < 1.0 for t in comp["truncated_mass"])
+        # near x = 1 the tail is heavy: a share of the level's mass, falling with fanout
+        shares = []
+        for fanout in (128, 256):
+            cfg = (RPC_CONFIG.replace("x: [0.5]", "x: [0.95]")
+                   .replace("fanout: 64", f"fanout: {fanout}")
+                   .replace("replications: 60", "replications: 4"))
+            _, near1 = run(capsys, "rpc-check", "--config", write(tmp_path, cfg))
+            shares.append(near1["components"]["truncated_mass"][0])
+        assert 0.0 < shares[1] < shares[0] < 1.0
+        assert shares[0] == pytest.approx(0.7515, abs=1e-4)
 
     def test_fe_and_cov_and_gg(self, tmp_path, capsys):
         cfg = write(tmp_path, FE_CONFIG)

@@ -1,7 +1,9 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from vecspin import (
     BudgetError,
@@ -26,6 +28,8 @@ from vecspin import (
     simulate_y_functional,
 )
 from vecspin.parisi import (
+    BLOCK_ENTRIES,
+    _plan_factors,
     eval_phi_mc_convergence,
     increments,
     lambda_pairing,
@@ -53,6 +57,38 @@ UNIT_PATH = Path([1.0], [[[1.0]]])
 def gh(n=80):
     z, w = np.polynomial.hermite.hermgauss(n)
     return z * math.sqrt(2.0), w / math.sqrt(math.pi)
+
+
+def whole_grid(model, prior, lam, path, nodes, field=None, extra=0.0):
+    """Reference recursion on the whole tensor grid at once, points x atoms:
+    (value, lambda gradient), levels folded innermost first."""
+    x_seq, factors, bonus = _plan_factors(model, prior, path)
+    z1, w1 = gh(nodes)
+    z, lws = np.zeros((1, prior.kappa)), []
+    for f in factors:
+        d = f.shape[1]
+        offs = np.array(list(itertools.product(z1, repeat=d))).reshape(-1, d) @ f.T
+        z = (z[:, None, :] + offs[None, :, :]).reshape(-1, prior.kappa)
+        lws.append(np.array([sum(t) for t in itertools.product(np.log(w1), repeat=d)]))
+    iu = np.triu_indices(prior.kappa)
+    pair = prior.points[:, iu[0]] * prior.points[:, iu[1]]
+    h = np.zeros(prior.kappa) if field is None else np.asarray(field)
+    scores = (z + h) @ prior.points.T + pair @ lam + np.log(prior.weights)
+    scores = scores + (0.0 if bonus is None else bonus)
+    v = logsumexp(scores, axis=1)
+    g = np.exp(scores - v[:, None]) @ pair
+    v = v + extra
+    for lw, x in zip(reversed(lws), reversed(x_seq)):
+        v, g = v.reshape(-1, lw.size), g.reshape(-1, lw.size, pair.shape[1])
+        if x < 1e-8:
+            s = np.broadcast_to(np.exp(lw), v.shape)
+            v = np.sum(s * v, axis=1)
+        else:
+            ls = logsumexp(x * v + lw, axis=1)
+            s = np.exp(x * v + lw - ls[:, None])
+            v = ls / x
+        g = np.einsum("pn,pnc->pc", s, g)
+    return float(v[0]), g[0], z.shape[0]
 
 
 class TestPathValidation:
@@ -228,6 +264,49 @@ class TestEvalPhi:
             peak = tracemalloc.get_traced_memory()[1]
             tracemalloc.stop()
             assert peak < 1 << 20
+
+    def test_blocks_match_whole_grid(self):
+        rng = spawn_rng(27)
+        for kappa, nodes in ((1, 16), (1, 16), (2, 8), (2, 8), (3, 5), (3, 5)):
+            m = random_model(rng, kappa)
+            prior = random_prior(rng, kappa, n_atoms=10)
+            lam = random_lambda(rng, kappa)
+            field = rng.uniform(-0.5, 0.5, size=kappa)
+            a, b = np.sort(rng.uniform(0.1, 0.9, size=2))
+            # lead x = 0 levels, merged interior levels, an x = 1 trail
+            x = [0.0, 0.0, a, a, b, 1.0] if kappa == 1 else [0.0, a, a, 1.0]
+            path = Path(x, random_monotone_gammas(rng, kappa, len(x)))
+            spec = EvalSpec(nodes_per_level=nodes)
+            v, g, points = whole_grid(m, prior, lam, path, nodes)
+            assert points * prior.n_atoms > 2 * BLOCK_ENTRIES
+            assert eval_phi(m, prior, lam, path, spec)[0] == pytest.approx(v, abs=1e-13)
+            gv, gg = phi_grad_lambda(m, prior, lam, path, spec)
+            assert gv == pytest.approx(v, abs=1e-13)
+            np.testing.assert_allclose(gg, g, rtol=0, atol=1e-13)
+            z1, w1 = gh(nodes)
+            shift = sum(math.log(np.sum(w1 * np.exp(lc * math.sqrt(0.2) * z1))) for lc in lam)
+            want = whole_grid(m, prior, lam, path, nodes, extra=shift)[0]
+            got = eval_phi_smoothed(m, prior, lam, path, spec, 0.2)[0]
+            assert got == pytest.approx(want, abs=1e-13)
+            want = whole_grid(m, prior, lam, path, nodes, field=field)[0]
+            got = eval_phi(m, prior, lam, path, spec, external_field=field)[0]
+            assert got == pytest.approx(want, abs=1e-13)
+
+    def test_quadrature_memory_is_one_block(self):
+        import tracemalloc
+
+        # 12^6 = 2,985,984 grid points; the whole grid's scores alone are 48 MB
+        rng = spawn_rng(26)
+        m = random_model(rng, 1)
+        prior = random_prior(rng, 1, n_atoms=2)
+        path = random_path(rng, 1, 6, x_lo=0.05, x_hi=0.95)
+        lam = random_lambda(rng, 1)
+        for fn in (eval_phi, phi_grad_lambda):
+            tracemalloc.start()
+            fn(m, prior, lam, path, EvalSpec(nodes_per_level=12))
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+            assert peak < 16 << 20
 
     def test_mc_convergence_report(self):
         spec = EvalSpec(backend="monte_carlo", samples_per_level=100,
