@@ -416,14 +416,13 @@ def _cmd_gg(cfg, args):
     fname = _get(sec, "functional", "gg", default="entry_00")
     if fname not in _GG_FUNCTIONALS:
         raise ConfigError(f"gg.functional must be one of {sorted(_GG_FUNCTIONALS)}")
+    terms = pspec.terms or (
+        system.PerturbationTerm(p=1, ns=(1,), lambdas=np.ones((1, model.kappa))),)
     term_index = int(_get(sec, "term_index", "gg", default=0))
-    if pspec.terms:
-        term = pspec.terms[term_index]
-    else:
-        term = system.PerturbationTerm(p=1, ns=(1,),
-                                       lambdas=np.ones((1, model.kappa)))
+    if not 0 <= term_index < len(terms):
+        raise ConfigError(f"gg.term_index must lie in [0, {len(terms)}), got {term_index}")
     res = system.gg_discrepancy(model, prior, pspec, n_sites, d, eps,
-                                n_replicas, _GG_FUNCTIONALS[fname], term,
+                                n_replicas, _GG_FUNCTIONALS[fname], terms[term_index],
                                 n_disorder, _resolve_seed(cfg, args),
                                 threads=args.threads)
     return {"value": res.delta, "std_error": res.std_error,

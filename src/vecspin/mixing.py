@@ -27,15 +27,15 @@ import numpy as np
 
 from .errors import ValidationError
 
-#: Default tolerance for symmetric-eigenvalue PSD checks.
+#: Tolerance for symmetric-eigenvalue PSD checks.
 PSD_TOL = 1e-10
 
-#: Default tolerance for symmetry checks.
+#: Tolerance for symmetry checks.
 SYM_TOL = 1e-12
 
 
-def validate_gram(a, psd_tol: float = PSD_TOL, name: str = "matrix") -> np.ndarray:
-    """Check that ``a`` is square, symmetric and PSD up to ``psd_tol``.
+def validate_gram(a, name: str = "matrix") -> np.ndarray:
+    """Check that ``a`` is square, symmetric and PSD up to ``PSD_TOL``.
 
     Returns the validated array as float64.  Raises ValidationError with a
     diagnostic naming the offending eigenvalue otherwise.
@@ -48,9 +48,9 @@ def validate_gram(a, psd_tol: float = PSD_TOL, name: str = "matrix") -> np.ndarr
     if np.max(np.abs(a - a.T), initial=0.0) > SYM_TOL:
         raise ValidationError(f"{name} is not symmetric to {SYM_TOL:g}")
     lo = float(np.linalg.eigvalsh(a)[0]) if a.size else 0.0
-    if lo < -psd_tol:
+    if lo < -PSD_TOL:
         raise ValidationError(
-            f"{name} is not PSD: min eigenvalue {lo:.3e} < -{psd_tol:g}"
+            f"{name} is not PSD: min eigenvalue {lo:.3e} < -{PSD_TOL:g}"
         )
     return a
 

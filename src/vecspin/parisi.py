@@ -52,7 +52,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -66,7 +66,7 @@ from .mixing import (
     xi_prime_matrix,
 )
 from .prior import ConstraintHull, SpinPrior
-from .rng import parallel_map, spawn_rng
+from .rng import check_replications, mean_and_se, parallel_map, spawn_rng
 
 #: Below this, an x value is treated as exactly zero (plain expectation branch).
 X_TINY = 1e-8
@@ -82,6 +82,13 @@ MAX_ENTRIES = 1 << 24
 #: it bounds the quadrature's memory.  A block's arrays then stay in cache:
 #: 2^14 (128 KiB per float array) ran fastest in a sweep of 2^12..2^18.
 BLOCK_ENTRIES = 1 << 14
+
+#: The lambda descent of ``phi_star`` stops once max |gradient| falls to this.
+GRAD_TOL = 1e-8
+
+#: First step of the outer hull ascent in ``optimize``; halved on each
+#: rejected step, which stops the ascent below 1e-4.
+OUTER_STEP = 0.25
 
 
 # ---------------------------------------------------------------------------
@@ -371,8 +378,7 @@ class EvalSpec:
             raise ValidationError(f"unknown backend {self.backend!r}")
         if self.nodes_per_level < 1 or self.samples_per_level < 1:
             raise ValidationError("node and sample counts must be positive")
-        if self.replications < 1:
-            raise ValidationError("replications must be >= 1")
+        check_replications(self.replications)
         if self.antithetic and self.samples_per_level % 2:
             raise ValidationError("antithetic sampling needs an even sample count")
 
@@ -387,12 +393,10 @@ class OptimizerSpec:
 
     max_iter: int = 500
     step: float = 0.1
-    grad_tol: float = 1e-8
     multistarts: int = 8
     alternations: int = 6
     path_steps: int = 60
     outer_iters: int = 25
-    outer_step: float = 0.25
     seed: int = 0
 
 
@@ -596,33 +600,7 @@ def eval_phi(model: MixedModel, prior: SpinPrior, lam, path: Path,
         z, logws = _mc_levels(factors, spec, spawn_rng(spec.seed, rep))
         return float(_fold(_bottom(prior.points, base, z)[0], logws, x_seq)[0][0])
 
-    vals = np.array(parallel_map(one, spec.replications, spec.threads))
-    se = float(vals.std(ddof=1) / math.sqrt(len(vals))) if len(vals) > 1 else 0.0
-    return float(vals.mean()), se
-
-
-def eval_phi_mc_convergence(model, prior, lam, path, spec: EvalSpec,
-                            external_field=None) -> dict:
-    """Monte Carlo values at s and 2s samples per level, for bias reporting.
-
-    The nested log-mean-exp estimator is biased at finite sample counts;
-    comparing the two resolutions bounds the remaining bias empirically.
-    """
-    base = replace(spec, backend="monte_carlo")
-    coarse = eval_phi(model, prior, lam, path, base, external_field)
-    fine = eval_phi(
-        model, prior, lam, path,
-        replace(base, samples_per_level=2 * base.samples_per_level),
-        external_field,
-    )
-    return {
-        "samples": base.samples_per_level,
-        "value": coarse[0],
-        "std_error": coarse[1],
-        "samples_doubled": 2 * base.samples_per_level,
-        "value_doubled": fine[0],
-        "std_error_doubled": fine[1],
-    }
+    return mean_and_se(parallel_map(one, spec.replications, spec.threads))
 
 
 def eval_phi_smoothed(model, prior, lam, path, spec: EvalSpec,
@@ -787,7 +765,7 @@ def phi_star(model, prior, d, path: Path, spec: EvalSpec,
     step = opt.step
     for it in range(1, opt.max_iter + 1):
         gnorm = float(np.max(np.abs(g)))
-        if gnorm <= opt.grad_tol:
+        if gnorm <= GRAD_TOL:
             converged = True
             break
         accepted = False
@@ -980,7 +958,7 @@ def optimize(model: MixedModel, prior: SpinPrior, r: int, spec: EvalSpec,
             reason = "degenerate_hull"
         else:
             reason = "outer_iterations"
-            step = opt.outer_step
+            step = OUTER_STEP
             value = inner_value(w, start)
             for _ in range(opt.outer_iters):
                 grad = np.zeros(n)

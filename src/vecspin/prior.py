@@ -21,7 +21,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleError, NumericalError, ValidationError
-from .mixing import PSD_TOL, validate_gram
+from .mixing import validate_gram
+
+#: Largest entrywise violation at which ``hull_membership`` reports D inside
+#: the hull.
+HULL_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -129,13 +133,13 @@ class HullMembership:
     worst_entry: tuple[int, int] | None
 
 
-def hull_membership(hull: ConstraintHull, d, tol: float = 1e-8) -> HullMembership:
+def hull_membership(hull: ConstraintHull, d) -> HullMembership:
     """Decide whether ``d`` is a convex combination of the hull generators.
 
     Solves min t subject to |sum_j w_j G_j - d| <= t entrywise, sum w = 1,
-    w >= 0, and reports success when the optimum t* <= tol, along with the
-    certificate weights.  On failure the entry of largest violation at the
-    best weights is reported.
+    w >= 0, and reports success when the optimum t* <= ``HULL_TOL``, along
+    with the certificate weights.  On failure the entry of largest violation
+    at the best weights is reported.
     """
     d = np.asarray(d, dtype=float)
     kappa = hull.kappa
@@ -177,7 +181,7 @@ def hull_membership(hull: ConstraintHull, d, tol: float = 1e-8) -> HullMembershi
     resid = np.abs(hull.combine(w) - d)
     worst = np.unravel_index(int(np.argmax(resid)), resid.shape)
     viol = float(resid[worst])
-    if viol <= tol:
+    if viol <= HULL_TOL:
         return HullMembership(True, w, viol, None)
     return HullMembership(False, None, viol, (int(worst[0]), int(worst[1])))
 
@@ -197,28 +201,33 @@ def overlap(config_a, config_b) -> np.ndarray:
     return a.T @ b / a.shape[0]
 
 
-def _sorted_eigh(d: np.ndarray):
-    """Eigendecomposition with eigenvalues in decreasing order, ties by index."""
+def _spectral_truncation(d: np.ndarray, eps: float):
+    """Eigenvalues of ``d`` below sqrt(eps) zeroed.
+
+    Returns (vals, vecs, m, d_eps): the eigenvalues in decreasing order (ties
+    by index) with their eigenvectors, the number m of kept eigenvalues, and
+    the truncated matrix d_eps.
+    """
+    if eps <= 0:
+        raise ValidationError("eps must be positive")
     vals, vecs = np.linalg.eigh(d)
     order = np.argsort(-vals, kind="stable")
-    return vals[order], vecs[:, order]
+    vals, vecs = vals[order], vecs[:, order]
+    cut = np.sqrt(eps)
+    m = int(np.count_nonzero(vals >= cut))
+    d_eps = (vecs * np.where(vals >= cut, vals, 0.0)) @ vecs.T
+    return vals, vecs, m, d_eps
 
 
-def truncate_constraint(d, eps: float, psd_tol: float = PSD_TOL):
+def truncate_constraint(d, eps: float):
     """Zero out eigenvalues of ``d`` below sqrt(eps).
 
     Returns (d_eps, m) where m is the number of kept eigenvalues.  d_eps is
     dominated by d in the PSD order and differs from it by at most
     kappa*sqrt(eps) in sup norm.
     """
-    if eps <= 0:
-        raise ValidationError("eps must be positive")
-    d = validate_gram(d, psd_tol=psd_tol, name="constraint matrix")
-    vals, vecs = _sorted_eigh(d)
-    cut = np.sqrt(eps)
-    kept = np.where(vals >= cut, vals, 0.0)
-    m = int(np.count_nonzero(vals >= cut))
-    d_eps = (vecs * kept) @ vecs.T
+    d = validate_gram(d, name="constraint matrix")
+    _, _, m, d_eps = _spectral_truncation(d, eps)
     return d_eps, m
 
 
@@ -256,25 +265,19 @@ class ModifierMatrix:
         }
 
 
-def build_modifier(r, d, eps: float, psd_tol: float = PSD_TOL) -> ModifierMatrix:
+def build_modifier(r, d, eps: float) -> ModifierMatrix:
     """Construct A with A R A^T = D_eps for a self-overlap R near D.
 
     Intended for R within eps of D in sup norm; the construction goes
     through whenever the normalized leading block stays positive definite,
     and raises NumericalError otherwise.
     """
-    r = validate_gram(r, psd_tol=psd_tol, name="self-overlap R")
-    d = validate_gram(d, psd_tol=psd_tol, name="constraint matrix D")
+    r = validate_gram(r, name="self-overlap R")
+    d = validate_gram(d, name="constraint matrix D")
     kappa = d.shape[0]
     if r.shape != d.shape:
         raise ValidationError("R and D must have matching shapes")
-    if eps <= 0:
-        raise ValidationError("eps must be positive")
-
-    vals, q = _sorted_eigh(d)
-    cut = np.sqrt(eps)
-    m = int(np.count_nonzero(vals >= cut))
-    d_eps = (q * np.where(vals >= cut, vals, 0.0)) @ q.T
+    vals, q, m, d_eps = _spectral_truncation(d, eps)
 
     if m == 0:
         a = np.zeros((kappa, kappa))

@@ -13,7 +13,11 @@ tasks or in which order they complete.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
+
+from .errors import ValidationError
 
 
 def spawn_rng(seed: int, *path: int) -> np.random.Generator:
@@ -33,3 +37,21 @@ def parallel_map(fn, n_tasks: int, threads: int = 1) -> list:
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(fn, range(n_tasks)))
+
+
+def check_replications(n: int) -> None:
+    """Raise ValidationError unless ``n`` asks for at least one replication or draw."""
+    if n < 1:
+        raise ValidationError(f"at least one replication or draw is required, got {n}")
+
+
+def mean_and_se(values) -> tuple[float, float]:
+    """Mean of independent replications and its standard error.
+
+    The standard error is the sample standard deviation over sqrt(n), and 0
+    for a single replication.
+    """
+    values = np.asarray(values, dtype=float)
+    n = values.size
+    se = float(values.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+    return float(values.mean()), se

@@ -46,7 +46,7 @@ from .parisi import (
     theta_increments,
 )
 from .prior import SpinPrior
-from .rng import parallel_map, spawn_rng
+from .rng import check_replications, mean_and_se, parallel_map, spawn_rng
 
 
 @dataclass(frozen=True)
@@ -139,20 +139,27 @@ class TreeGaussianField:
 
 
 def _sample_tree_fields(fanout, z_factors, y_vars, rng):
-    """Per-depth increments and their leaf accumulations."""
-    kappa = z_factors[0].shape[0] if z_factors else 0
+    """Per-depth increments and their leaf accumulations.
+
+    Either field may be None: it is then neither drawn nor returned (its
+    leaf sum is None), so a caller spends no draws on a field it discards.
+    At each depth the vector increments are drawn before the scalar ones.
+    """
+    depth = len(z_factors) if z_factors is not None else len(y_vars)
     node_z, node_y = [], []
-    z = np.zeros((1, kappa))
-    y = np.zeros(1)
+    z = None if z_factors is None else np.zeros((1, z_factors[0].shape[0]))
+    y = None if y_vars is None else np.zeros(1)
     nodes = 1
-    for f, var in zip(z_factors, y_vars):
+    for j in range(depth):
         nodes *= fanout
-        inc_z = rng.standard_normal((nodes, f.shape[1])) @ f.T
-        inc_y = math.sqrt(var) * rng.standard_normal(nodes)
-        node_z.append(inc_z)
-        node_y.append(inc_y)
-        z = np.repeat(z, fanout, axis=0) + inc_z
-        y = np.repeat(y, fanout) + inc_y
+        if z is not None:
+            inc_z = rng.standard_normal((nodes, z_factors[j].shape[1])) @ z_factors[j].T
+            node_z.append(inc_z)
+            z = np.repeat(z, fanout, axis=0) + inc_z
+        if y is not None:
+            inc_y = math.sqrt(y_vars[j]) * rng.standard_normal(nodes)
+            node_y.append(inc_y)
+            y = np.repeat(y, fanout) + inc_y
     return node_z, node_y, z, y
 
 
@@ -186,8 +193,7 @@ def simulate_phi(model: MixedModel, prior: SpinPrior, lam, path: Path,
     levels become a shared field draw; trailing x = 1 levels fold into the
     integrand exactly.
     """
-    if replications < 1:
-        raise ValidationError("replications must be >= 1")
+    check_replications(replications)
     x_seq, (lead_f, *core_f), bonus = _plan_factors(model, prior, path)
     _check_budget(fanout ** len(core_f), max(prior.n_atoms, path.kappa), "cascade tree")
     base = _atom_base(prior, lam, external_field, bonus)
@@ -197,7 +203,7 @@ def simulate_phi(model: MixedModel, prior: SpinPrior, lam, path: Path,
         z0 = rng.standard_normal(lead_f.shape[1]) @ lead_f.T
         if core_f:
             tree = sample_cascade(x_seq[1:], fanout, rng)
-            _, _, z_leaf, _ = _sample_tree_fields(fanout, core_f, np.zeros(len(core_f)), rng)
+            _, _, z_leaf, _ = _sample_tree_fields(fanout, core_f, None, rng)
             z = z0[None, :] + z_leaf
             logw = tree.log_weights
         else:
@@ -206,9 +212,7 @@ def simulate_phi(model: MixedModel, prior: SpinPrior, lam, path: Path,
         vals, _ = _bottom(prior.points, base, z)
         return float(_logsumexp(logw + vals))
 
-    vals = np.array(parallel_map(one, replications, threads))
-    se = float(vals.std(ddof=1) / math.sqrt(len(vals))) if len(vals) > 1 else 0.0
-    return float(vals.mean()), se
+    return mean_and_se(parallel_map(one, replications, threads))
 
 
 def y_functional_closed_form(model: MixedModel, path: Path) -> float:
@@ -227,6 +231,7 @@ def simulate_y_functional(model: MixedModel, path: Path, m_sites: int,
     """
     if m_sites <= 0:
         raise ValidationError("m_sites must be positive")
+    check_replications(replications)
     plan = level_plan(model, path)
     _check_budget(fanout ** plan.x.size, 1, "cascade tree")
     root_m = math.sqrt(m_sites)
@@ -237,16 +242,13 @@ def simulate_y_functional(model: MixedModel, path: Path, m_sites: int,
         y0 = math.sqrt(plan.y_lead) * rng.standard_normal() if plan.y_lead > 0 else 0.0
         if plan.x.size:
             tree = sample_cascade(plan.x, fanout, rng)
-            zero_f = [np.zeros((path.kappa, 0))] * len(plan.y)
-            _, _, _, y_leaf = _sample_tree_fields(fanout, zero_f, plan.y, rng)
+            _, _, _, y_leaf = _sample_tree_fields(fanout, None, plan.y, rng)
             inner = float(_logsumexp(tree.log_weights + root_m * y_leaf))
         else:
             inner = 0.0
         return (root_m * y0 + inner) / m_sites + trail_term
 
-    vals = np.array(parallel_map(one, replications, threads))
-    se = float(vals.std(ddof=1) / math.sqrt(len(vals))) if len(vals) > 1 else 0.0
-    return float(vals.mean()), se
+    return mean_and_se(parallel_map(one, replications, threads))
 
 
 @dataclass(frozen=True)
@@ -278,6 +280,7 @@ def log_sum_split_check(model: MixedModel, path: Path, parts,
     n_parts = len(parts)
     if n_parts < 1:
         raise ValidationError("at least one part is required")
+    check_replications(replications)
 
     def one(rep: int):
         rng = spawn_rng(seed, rep)
@@ -292,12 +295,8 @@ def log_sum_split_check(model: MixedModel, path: Path, parts,
         return float(lhs), per
 
     results = parallel_map(one, replications, threads)
-    lhs_vals = np.array([r[0] for r in results])
+    lhs, lhs_se = mean_and_se([r[0] for r in results])
     per_vals = np.array([r[1] for r in results])  # (reps, n_parts)
-    lhs = float(lhs_vals.mean())
-    lhs_se = float(lhs_vals.std(ddof=1) / math.sqrt(len(lhs_vals))) if len(lhs_vals) > 1 else 0.0
-    means = per_vals.mean(axis=0)
-    best = int(np.argmax(means))
+    best_mean, best_se = mean_and_se(per_vals[:, np.argmax(per_vals.mean(axis=0))])
     corr = math.log(n_parts) / float(x[0])
-    best_se = float(per_vals[:, best].std(ddof=1) / math.sqrt(per_vals.shape[0])) if per_vals.shape[0] > 1 else 0.0
-    return SplitCheckResult(lhs, lhs_se, corr + float(means[best]), best_se, corr)
+    return SplitCheckResult(lhs, lhs_se, corr + best_mean, best_se, corr)

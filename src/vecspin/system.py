@@ -18,9 +18,14 @@ import numpy as np
 from .errors import BudgetError, InfeasibleError, ValidationError
 from .mixing import MixedModel
 from .prior import SpinPrior, build_modifier, self_overlap
-from .rng import parallel_map, spawn_rng
+from .rng import check_replications, mean_and_se, parallel_map, spawn_rng
 
-DEFAULT_BUDGET = 10**7
+#: Largest coupling tensor, configuration count or replica-tuple grid the
+#: exact computations build; beyond it they raise BudgetError first.
+BUDGET = 10**7
+
+#: Disorder draws generated at once by the covariance Monte Carlo.
+COV_CHUNK = 20000
 
 
 # ---------------------------------------------------------------------------
@@ -36,13 +41,12 @@ class DisorderSample:
     couplings: dict[int, np.ndarray]
 
 
-def sample_disorder(model: MixedModel, n_sites: int, seed: int,
-                    budget: int = DEFAULT_BUDGET) -> DisorderSample:
+def sample_disorder(model: MixedModel, n_sites: int, seed: int) -> DisorderSample:
     if n_sites < 1:
         raise ValidationError("n_sites must be >= 1")
     couplings = {}
     for p in model.p_values:
-        if n_sites**p > budget:
+        if n_sites**p > BUDGET:
             raise BudgetError(
                 f"coupling tensor for p={p} needs {n_sites**p} entries, over budget"
             )
@@ -110,43 +114,45 @@ def hamiltonian_batch(model: MixedModel, configs, disorder: DisorderSample) -> n
     return out
 
 
+def _tensor_power_sum(config: np.ndarray, weights, p: int) -> np.ndarray:
+    """Flattened sum_k w_k sigma(k)^{tensor p} over the spin coordinates k,
+    where sigma(k) is column k of the (N, kappa) configuration."""
+    n = config.shape[0]
+    out = np.zeros((n,) * p)
+    for k, w in enumerate(weights):
+        if w == 0.0:
+            continue
+        t = np.array(1.0)
+        for _ in range(p):
+            t = np.multiply.outer(t, config[:, k])
+        out += w * t
+    return out.ravel()
+
+
 def _hamiltonian_coefficients(model: MixedModel, config: np.ndarray) -> np.ndarray:
     """Flattened coefficients of H(sigma) as a linear form in the couplings."""
     n = config.shape[0]
-    parts = []
-    for p, beta in sorted(model.coefficients.items()):
-        scale = n ** (-(p - 1) / 2.0)
-        t = np.zeros((n,) * p)
-        for k in range(model.kappa):
-            if beta[k] == 0.0:
-                continue
-            o = np.array(1.0)
-            for _ in range(p):
-                o = np.multiply.outer(o, config[:, k])
-            t += beta[k] * o
-        parts.append(scale * t.ravel())
+    parts = [n ** (-(p - 1) / 2.0) * _tensor_power_sum(config, beta, p)
+             for p, beta in sorted(model.coefficients.items())]
     return np.concatenate(parts) if parts else np.zeros(0)
 
 
 def _linear_covariance_mc(coeff_a: np.ndarray, coeff_b: np.ndarray,
-                          n_disorder: int, seed: int,
-                          chunk: int = 20000) -> tuple[float, float]:
+                          n_disorder: int, seed: int) -> tuple[float, float]:
     """Empirical covariance of two linear Gaussian forms over fresh draws."""
+    check_replications(n_disorder)
     ha = np.empty(n_disorder)
     hb = np.empty(n_disorder)
     done = 0
     block = 0
     while done < n_disorder:
-        take = min(chunk, n_disorder - done)
+        take = min(COV_CHUNK, n_disorder - done)
         g = spawn_rng(seed, block).standard_normal((take, coeff_a.size))
         ha[done:done + take] = g @ coeff_a
         hb[done:done + take] = g @ coeff_b
         done += take
         block += 1
-    prod = (ha - ha.mean()) * (hb - hb.mean())
-    cov = float(prod.mean())
-    se = float(prod.std(ddof=1) / math.sqrt(n_disorder))
-    return cov, se
+    return mean_and_se((ha - ha.mean()) * (hb - hb.mean()))
 
 
 def hamiltonian_covariance_mc(model: MixedModel, config_a, config_b,
@@ -170,7 +176,7 @@ def _perturbation_coefficients(term: "PerturbationTerm",
     n = config.shape[0]
     t = np.array(1.0)
     for n_j, lam in zip(term.ns, term.lambdas):
-        u = _direction_tensor(term, config, lam)
+        u = _tensor_power_sum(config, lam, term.p)
         for _ in range(n_j):
             t = np.multiply.outer(t, u)
     return t.ravel() * n ** (-term.p * term.total_n / 2.0)
@@ -195,13 +201,12 @@ def perturbation_covariance_mc(term: "PerturbationTerm", config_a, config_b,
 # exact free energies
 
 
-def enumerate_configs(prior: SpinPrior, n_sites: int,
-                      budget: int = DEFAULT_BUDGET):
+def enumerate_configs(prior: SpinPrior, n_sites: int):
     """All atom configurations in lexicographic order, with log prior masses."""
     n_cfg = prior.n_atoms**n_sites
-    if n_cfg > budget:
+    if n_cfg > BUDGET:
         raise BudgetError(
-            f"{n_cfg} configurations exceed the enumeration budget {budget}; "
+            f"{n_cfg} configurations exceed the enumeration budget {BUDGET}; "
             "use a sampling estimator instead"
         )
     idx = np.stack(
@@ -216,6 +221,25 @@ def enumerate_configs(prior: SpinPrior, n_sites: int,
 def _logsumexp(a: np.ndarray) -> float:
     m = float(np.max(a))
     return m + math.log(float(np.sum(np.exp(a - m))))
+
+
+def _constrained_configs(prior: SpinPrior, n_sites: int, d: np.ndarray, eps: float):
+    """Configurations whose self-overlap is within eps of ``d`` in sup norm.
+
+    Returns (configs, log prior masses, hit fraction), the last the share of
+    the prior mass the constraint keeps; raises InfeasibleError when no
+    configuration qualifies.
+    """
+    configs, logw = enumerate_configs(prior, n_sites)
+    overlaps = np.einsum("aik,ail->akl", configs, configs) / n_sites
+    mask = np.max(np.abs(overlaps - d), axis=(1, 2)) < eps
+    if not np.any(mask):
+        raise InfeasibleError(
+            f"no configuration of {n_sites} sites has self-overlap within "
+            f"{eps:g} of the target; the constraint set is empty"
+        )
+    hit = math.exp(_logsumexp(logw[mask]) - _logsumexp(logw))
+    return configs[mask], logw[mask], hit
 
 
 @dataclass(frozen=True)
@@ -234,11 +258,11 @@ class FreeEnergyResult:
         }
 
 
-def exact_free_energy(model: MixedModel, prior: SpinPrior, n_sites: int,
-                      n_disorder: int, seed: int, threads: int = 1,
-                      budget: int = DEFAULT_BUDGET) -> FreeEnergyResult:
-    """(1/N) E log sum_configs w(sigma) exp H(sigma), exact per draw."""
-    configs, logw = enumerate_configs(prior, n_sites, budget)
+def _free_energy(model: MixedModel, configs: np.ndarray, logw: np.ndarray,
+                 n_disorder: int, seed: int, threads: int, hit: float) -> FreeEnergyResult:
+    """Disorder average of (1/N) log sum_configs w(sigma) exp H(sigma)."""
+    check_replications(n_disorder)
+    n_sites = configs.shape[1]
 
     def one(draw: int) -> float:
         dis = sample_disorder(model, n_sites, spawn_rng(seed, draw).integers(2**63))
@@ -246,40 +270,27 @@ def exact_free_energy(model: MixedModel, prior: SpinPrior, n_sites: int,
         return _logsumexp(logw + h) / n_sites
 
     per_draw = np.array(parallel_map(one, n_disorder, threads))
-    se = float(per_draw.std(ddof=1) / math.sqrt(n_disorder)) if n_disorder > 1 else 0.0
-    return FreeEnergyResult(float(per_draw.mean()), se, per_draw)
+    value, se = mean_and_se(per_draw)
+    return FreeEnergyResult(value, se, per_draw, hit)
+
+
+def exact_free_energy(model: MixedModel, prior: SpinPrior, n_sites: int,
+                      n_disorder: int, seed: int, threads: int = 1) -> FreeEnergyResult:
+    """(1/N) E log sum_configs w(sigma) exp H(sigma), exact per draw."""
+    configs, logw = enumerate_configs(prior, n_sites)
+    return _free_energy(model, configs, logw, n_disorder, seed, threads, 1.0)
 
 
 def constrained_free_energy(model: MixedModel, prior: SpinPrior, n_sites: int,
                             d, eps: float, n_disorder: int, seed: int,
-                            threads: int = 1,
-                            budget: int = DEFAULT_BUDGET) -> FreeEnergyResult:
+                            threads: int = 1) -> FreeEnergyResult:
     """Free energy restricted to self-overlaps within eps of ``d`` in sup norm.
 
     ``hit_fraction`` is the prior mass the constraint retains.
     """
     d = np.asarray(d, dtype=float)
-    configs, logw = enumerate_configs(prior, n_sites, budget)
-    overlaps = np.einsum("aik,ail->akl", configs, configs) / n_sites
-    mask = np.max(np.abs(overlaps - d), axis=(1, 2)) < eps
-    if not np.any(mask):
-        raise InfeasibleError(
-            f"no configuration of {n_sites} sites has self-overlap within "
-            f"{eps:g} of the target; the constraint set is empty"
-        )
-    total_mass = _logsumexp(logw)
-    hit = math.exp(_logsumexp(logw[mask]) - total_mass)
-    configs = configs[mask]
-    logw_kept = logw[mask]
-
-    def one(draw: int) -> float:
-        dis = sample_disorder(model, n_sites, spawn_rng(seed, draw).integers(2**63))
-        h = hamiltonian_batch(model, configs, dis)
-        return _logsumexp(logw_kept + h) / n_sites
-
-    per_draw = np.array(parallel_map(one, n_disorder, threads))
-    se = float(per_draw.std(ddof=1) / math.sqrt(n_disorder)) if n_disorder > 1 else 0.0
-    return FreeEnergyResult(float(per_draw.mean()), se, per_draw, hit)
+    configs, logw, hit = _constrained_configs(prior, n_sites, d, eps)
+    return _free_energy(model, configs, logw, n_disorder, seed, threads, hit)
 
 
 # ---------------------------------------------------------------------------
@@ -381,52 +392,27 @@ class PerturbationSpec:
         return float(n_sites) ** self.strength_exponent
 
 
-def sample_perturbation_disorder(term: PerturbationTerm, n_sites: int, seed: int,
-                                 budget: int = DEFAULT_BUDGET) -> np.ndarray:
+def sample_perturbation_disorder(term: PerturbationTerm, n_sites: int,
+                                 seed: int) -> np.ndarray:
     """Gaussian tensor over the combined index blocks of one term."""
     size = n_sites ** (term.p * term.total_n)
-    if size > budget:
+    if size > BUDGET:
         raise BudgetError(
-            f"perturbation tensor needs {size} entries, over budget {budget}"
+            f"perturbation tensor needs {size} entries, over budget {BUDGET}"
         )
     return spawn_rng(seed).standard_normal(size)
-
-
-def _direction_tensor(term: PerturbationTerm, config: np.ndarray,
-                      lam: np.ndarray) -> np.ndarray:
-    """Flattened S_lambda values over one index block e in {1..N}^p."""
-    n = config.shape[0]
-    out = np.zeros((n,) * term.p)
-    for k in range(config.shape[1]):
-        if lam[k] == 0.0:
-            continue
-        t = np.array(1.0)
-        for _ in range(term.p):
-            t = np.multiply.outer(t, config[:, k])
-        out += lam[k] * t
-    return out.ravel()
 
 
 def perturbation_h_theta(term: PerturbationTerm, config,
                          disorder_theta: np.ndarray) -> float:
     """Exact contraction of one perturbation term with its couplings."""
     config = _as_config(config)
-    n = config.shape[0]
-    block = n**term.p
-    total = term.total_n
-    expected = block**total
+    expected = config.shape[0] ** (term.p * term.total_n)
     if disorder_theta.size != expected:
         raise ValidationError(
             f"disorder tensor has {disorder_theta.size} entries, expected {expected}"
         )
-    vectors = []
-    for n_j, lam in zip(term.ns, term.lambdas):
-        u = _direction_tensor(term, config, lam)
-        vectors.extend([u] * n_j)
-    t = disorder_theta.reshape((block,) * total)
-    for u in reversed(vectors):
-        t = np.tensordot(t, u, axes=([-1], [0]))
-    return float(t) * n ** (-term.p * total / 2.0)
+    return float(_perturbation_coefficients(term, config) @ disorder_theta)
 
 
 def perturbation_h(spec: PerturbationSpec, prior: SpinPrior, config,
@@ -500,7 +486,7 @@ def _modified_configs(configs: np.ndarray, d: np.ndarray, eps: float) -> np.ndar
 def gg_discrepancy(model: MixedModel, prior: SpinPrior, spec: PerturbationSpec,
                    n_sites: int, d, eps: float, n_replicas: int, f,
                    term: PerturbationTerm, n_disorder: int, seed: int,
-                   threads: int = 1, budget: int = DEFAULT_BUDGET) -> GGResult:
+                   threads: int = 1) -> GGResult:
     """Discrepancy of the replica identity for one covariance pattern.
 
     Replicas come from the Gibbs measure with Hamiltonian
@@ -517,16 +503,11 @@ def gg_discrepancy(model: MixedModel, prior: SpinPrior, spec: PerturbationSpec,
     """
     if n_replicas < 2:
         raise ValidationError("the identity needs n >= 2 replicas")
+    check_replications(n_disorder)
     d = np.asarray(d, dtype=float)
-    configs, logw = enumerate_configs(prior, n_sites, budget)
-    overlaps = np.einsum("aik,ail->akl", configs, configs) / n_sites
-    mask = np.max(np.abs(overlaps - d), axis=(1, 2)) < eps
-    if not np.any(mask):
-        raise InfeasibleError("the constrained configuration set is empty")
-    configs = configs[mask]
-    logw = logw[mask]
+    configs, logw, _ = _constrained_configs(prior, n_sites, d, eps)
     n_cfg = configs.shape[0]
-    if n_cfg**n_replicas * n_replicas**2 > budget:
+    if n_cfg**n_replicas * n_replicas**2 > BUDGET:
         raise BudgetError(
             f"{n_cfg}^{n_replicas} replica tuples exceed the budget; "
             "reduce n_sites or n_replicas"

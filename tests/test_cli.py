@@ -228,3 +228,13 @@ class TestExitCodes:
     def test_infeasible_constraint(self, tmp_path, capsys):
         bad = FE_CONFIG.replace("d: [[1.0]]", "d: [[0.0]]")
         assert main(["fe-constrained", "--config", write(tmp_path, bad, "inf.yaml")]) == 4
+
+    def test_zero_disorder_draws(self, tmp_path, capsys):
+        cfg = write(tmp_path, FE_CONFIG.replace("n_disorder: 40", "n_disorder: 0"))
+        for command in ("fe", "fe-constrained", "cov-check", "gg"):
+            assert main([command, "--config", cfg]) == 3, command
+
+    def test_gg_term_index_out_of_range(self, tmp_path, capsys):
+        for index in (1, 3, -1):
+            bad = FE_CONFIG + f"  term_index: {index}\n"
+            assert main(["gg", "--config", write(tmp_path, bad, "idx.yaml")]) == 3, index

@@ -30,7 +30,6 @@ from vecspin import (
 from vecspin.parisi import (
     BLOCK_ENTRIES,
     _plan_factors,
-    eval_phi_mc_convergence,
     increments,
     lambda_pairing,
     project_simplex,
@@ -307,14 +306,6 @@ class TestEvalPhi:
             peak = tracemalloc.get_traced_memory()[1]
             tracemalloc.stop()
             assert peak < 16 << 20
-
-    def test_mc_convergence_report(self):
-        spec = EvalSpec(backend="monte_carlo", samples_per_level=100,
-                        replications=6, seed=3)
-        rep = eval_phi_mc_convergence(SK_HALF, COUNTING_ISING, lambda_zero(1),
-                                      Path([0.5], [[[1.0]]]), spec)
-        assert rep["samples_doubled"] == 200
-        assert np.isfinite(rep["value"]) and np.isfinite(rep["value_doubled"])
 
     def test_mc_determinism_across_threads(self):
         spec1 = EvalSpec(backend="monte_carlo", samples_per_level=64,

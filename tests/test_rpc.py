@@ -232,3 +232,8 @@ class TestLogSumSplit:
         path = Path([1.0], [[[1.0]]])
         with pytest.raises(ValidationError):
             log_sum_split_check(SK_HALF, path, [lambda f: np.exp(f.y)])
+
+    def test_rejects_zero_replications(self):
+        path = Path([0.5], [[[1.0]]])
+        with pytest.raises(ValidationError):
+            log_sum_split_check(SK_HALF, path, [lambda f: np.exp(f.y)], replications=0)

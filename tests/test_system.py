@@ -130,8 +130,13 @@ class TestConstrainedFreeEnergy:
 
     def test_empty_constraint_set(self):
         m = MixedModel(1, {2: [0.3]})
+        d = np.array([[0.0]])
         with pytest.raises(InfeasibleError):
-            constrained_free_energy(m, PROB_ISING, 4, np.array([[0.0]]), 0.5, 5, seed=1)
+            constrained_free_energy(m, PROB_ISING, 4, d, 0.5, 5, seed=1)
+        term = PerturbationTerm(p=1, ns=(1,), lambdas=np.array([[1.0]]))
+        with pytest.raises(InfeasibleError):
+            gg_discrepancy(m, PROB_ISING, PerturbationSpec(), 4, d, 0.5, 2,
+                           lambda rn: rn[..., 0, 1, 0, 0], term, 5, seed=1)
 
     def test_restriction_never_gains(self):
         m = MixedModel(2, {2: [0.3, 0.2]})
