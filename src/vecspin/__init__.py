@@ -13,12 +13,9 @@ from .mixing import (
     hamiltonian_covariance,
     sum_all,
     theta_matrix,
-    theta_scalar,
     validate_gram,
     xi_matrix,
     xi_prime_matrix,
-    xi_prime_scalar,
-    xi_scalar,
 )
 from .parisi import (
     EvalSpec,

@@ -9,6 +9,7 @@ exactly.  Exit codes: 0 ok, 2 parse failure, 3 validation failure,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import sys
@@ -50,19 +51,48 @@ def _section(cfg: dict, name: str, required: bool = True) -> dict:
     return sec
 
 
-def _get(sec: dict, name: str, where: str, default=None, required: bool = False):
-    if name not in sec:
+def _get(sec: dict, name: str, where: str, default=None, required: bool = False,
+         cast=None):
+    """``sec[name]`` converted by ``cast``; a missing or null value is ``default``.
+
+    A value that ``cast`` rejects raises ConfigError naming ``where.name``.
+    """
+    key = f"{where}.{name}".lstrip(".")
+    value = sec.get(name)
+    if value is None:
         if required:
-            raise ConfigError(f"'{where}.{name}' is required")
+            raise ConfigError(f"'{key}' is required")
         return default
-    return sec[name]
+    if cast is None:
+        return value
+    try:
+        return cast(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"'{key}' is malformed: {exc}") from None
+
+
+def _floats(value) -> np.ndarray:
+    return np.asarray(value, dtype=float)
+
+
+def _read(cls, cfg: dict, section: str, **fixed):
+    """Dataclass ``cls`` from a config section; ``fixed`` fields come from elsewhere.
+
+    Each other field the section sets is converted to the type of the
+    field's default; an unset field keeps that default.
+    """
+    sec = _section(cfg, section, required=False)
+    return cls(**fixed, **{
+        f.name: _get(sec, f.name, section, f.default, cast=type(f.default))
+        for f in dataclasses.fields(cls) if f.name not in fixed
+    })
 
 
 def build_model(cfg: dict) -> MixedModel:
     sec = _section(cfg, "model")
-    kappa = int(_get(sec, "kappa", "model", required=True))
-    raw = _get(sec, "coefficients", "model", default={})
-    coeffs = {int(p): np.asarray(v, dtype=float) for p, v in raw.items()}
+    kappa = _get(sec, "kappa", "model", required=True, cast=int)
+    coeffs = _get(sec, "coefficients", "model", default={}, cast=lambda raw: {
+        int(p): _floats(v) for p, v in dict(raw).items()})
     return MixedModel(kappa, coeffs)
 
 
@@ -73,8 +103,8 @@ def build_prior(cfg: dict, kappa: int) -> SpinPrior:
         prior = SpinPrior.from_atoms(
             [(a["point"], a["weight"]) for a in atoms]
         )
-    except (KeyError, TypeError) as exc:
-        raise ConfigError(f"prior.atoms entries need 'point' and 'weight': {exc}")
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed 'prior.atoms': {exc!r}") from None
     if prior.kappa != kappa:
         raise ConfigError(
             f"prior atoms have dimension {prior.kappa}, model has kappa={kappa}"
@@ -84,8 +114,8 @@ def build_prior(cfg: dict, kappa: int) -> SpinPrior:
 
 def build_path(cfg: dict, kappa: int) -> parisi.Path:
     sec = _section(cfg, "path")
-    x = np.asarray(_get(sec, "x", "path", required=True), dtype=float)
-    gammas = np.asarray(_get(sec, "gammas", "path", required=True), dtype=float)
+    x = _get(sec, "x", "path", required=True, cast=_floats)
+    gammas = _get(sec, "gammas", "path", required=True, cast=_floats)
     path = parisi.Path(x, gammas)
     if path.kappa != kappa:
         raise ConfigError(f"path matrices are {path.kappa}x{path.kappa}, kappa={kappa}")
@@ -93,77 +123,52 @@ def build_path(cfg: dict, kappa: int) -> parisi.Path:
 
 
 def build_lambda(cfg: dict, kappa: int) -> np.ndarray:
-    lam = cfg.get("lambda")
+    lam = _get(cfg, "lambda", "", cast=_floats)
     if lam is None:
         return parisi.lambda_zero(kappa)
-    return parisi.lambda_validate(np.asarray(lam, dtype=float), kappa)
+    return parisi.lambda_validate(lam, kappa)
 
 
 def build_eval_spec(cfg: dict, args) -> parisi.EvalSpec:
-    sec = _section(cfg, "eval", required=False)
-    backend = args.backend or _get(sec, "backend", "eval", default="quadrature")
-    if backend == "mc":
-        backend = "monte_carlo"
-    return parisi.EvalSpec(
-        backend=backend,
-        nodes_per_level=int(_get(sec, "nodes_per_level", "eval", default=16)),
-        samples_per_level=int(_get(sec, "samples_per_level", "eval", default=512)),
-        replications=int(_get(sec, "replications", "eval", default=8)),
-        seed=_resolve_seed(cfg, args),
-        antithetic=bool(_get(sec, "antithetic", "eval", default=False)),
-        threads=args.threads,
-    )
+    backend = {"backend": args.backend} if args.backend else {}
+    return _read(parisi.EvalSpec, cfg, "eval", seed=_resolve_seed(cfg, args),
+                 threads=args.threads, **backend)
 
 
 def build_optimizer_spec(cfg: dict, args) -> parisi.OptimizerSpec:
-    sec = _section(cfg, "optimize", required=False)
-    return parisi.OptimizerSpec(
-        max_iter=int(_get(sec, "max_iter", "optimize", default=500)),
-        step=float(_get(sec, "step", "optimize", default=0.1)),
-        multistarts=int(_get(sec, "multistarts", "optimize", default=8)),
-        alternations=int(_get(sec, "alternations", "optimize", default=6)),
-        path_steps=int(_get(sec, "path_steps", "optimize", default=60)),
-        outer_iters=int(_get(sec, "outer_iters", "optimize", default=25)),
-        seed=_resolve_seed(cfg, args),
-    )
+    return _read(parisi.OptimizerSpec, cfg, "optimize", seed=_resolve_seed(cfg, args))
 
 
 def build_perturbation(cfg: dict) -> system.PerturbationSpec:
     sec = _section(cfg, "perturbation", required=False)
-    terms = []
-    for raw in _get(sec, "terms", "perturbation", default=[]):
-        terms.append(
-            system.PerturbationTerm(
-                p=int(raw["p"]),
-                ns=tuple(int(n) for n in raw["ns"]),
-                lambdas=np.asarray(raw["lambdas"], dtype=float),
-            )
+    try:
+        terms = tuple(
+            system.PerturbationTerm(p=int(raw["p"]), ns=tuple(int(n) for n in raw["ns"]),
+                                    lambdas=_floats(raw["lambdas"]))
+            for raw in _get(sec, "terms", "perturbation", default=[])
         )
-    u = _get(sec, "u", "perturbation", default=[1.5] * len(terms))
-    return system.PerturbationSpec(
-        terms=tuple(terms),
-        u=tuple(float(v) for v in u),
-        strength_exponent=float(_get(sec, "strength_exponent", "perturbation",
-                                     default=0.45)),
-    )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed 'perturbation.terms': {exc!r}") from None
+    u = _get(sec, "u", "perturbation", default=[1.5] * len(terms),
+             cast=lambda raw: [float(v) for v in raw])
+    return _read(system.PerturbationSpec, cfg, "perturbation", terms=terms, u=u)
 
 
 def _resolve_seed(cfg: dict, args) -> int:
-    if args.seed is not None:
-        return args.seed
-    return int(cfg.get("seed", 0))
+    seed = args.seed if args.seed is not None else _get(cfg, "seed", "", 0, cast=int)
+    if seed < 0:
+        raise ConfigError(f"'seed' must be >= 0, got {seed}")
+    return seed
 
 
 def _constraint(cfg: dict, path: parisi.Path | None = None):
     sec = _section(cfg, "constraint", required=False)
-    d = _get(sec, "d", "constraint")
+    d = _get(sec, "d", "constraint", cast=_floats)
     if d is None:
         if path is None:
             raise ConfigError("'constraint.d' is required for this command")
         d = path.endpoint
-    else:
-        d = np.asarray(d, dtype=float)
-    eps = float(_get(sec, "epsilon", "constraint", default=0.1))
+    eps = _get(sec, "epsilon", "constraint", default=0.1, cast=float)
     return d, eps
 
 
@@ -177,24 +182,6 @@ def _jsonable(obj):
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
     return obj
-
-
-def emit_report(command: str, config_digest: str, seed: int, backend: str | None,
-                value=None, std_error=None, components=None, checks=None,
-                warnings=None, runtime_ms=None) -> dict:
-    """Schema-stable report document for one run."""
-    return _jsonable({
-        "command": command,
-        "config_digest": config_digest,
-        "seed": seed,
-        "backend": backend,
-        "value": value,
-        "std_error": std_error,
-        "components": components or {},
-        "checks": checks or [],
-        "warnings": warnings or [],
-        "runtime_ms": runtime_ms,
-    })
 
 
 def _check(name: str, lhs: float, rhs: float, tol: float) -> dict:
@@ -289,7 +276,7 @@ def _cmd_optimize(cfg, args):
     spec = build_eval_spec(cfg, args)
     opt = build_optimizer_spec(cfg, args)
     sec = _section(cfg, "optimize", required=False)
-    levels = int(_get(sec, "levels", "optimize", default=2))
+    levels = _get(sec, "levels", "optimize", default=2, cast=int)
     res = parisi.optimize(model, prior, levels, spec, opt)
     return {"value": res.value, "components": res.to_dict(), "backend": spec.backend}
 
@@ -301,9 +288,9 @@ def _cmd_rpc_check(cfg, args):
     lam = build_lambda(cfg, model.kappa)
     spec = build_eval_spec(cfg, args)
     sec = _section(cfg, "rpc", required=False)
-    fanout = int(_get(sec, "fanout", "rpc", default=128))
-    reps = int(_get(sec, "replications", "rpc", default=200))
-    m_sites = int(_get(sec, "m_sites", "rpc", default=20))
+    fanout = _get(sec, "fanout", "rpc", default=128, cast=int)
+    reps = _get(sec, "replications", "rpc", default=200, cast=int)
+    m_sites = _get(sec, "m_sites", "rpc", default=20, cast=int)
     seed = _resolve_seed(cfg, args)
 
     quad = parisi.eval_phi(model, prior, lam, path, spec)
@@ -338,8 +325,10 @@ def _cmd_rpc_check(cfg, args):
 
 def _system_params(cfg):
     sec = _section(cfg, "system")
-    n_sites = int(_get(sec, "n_sites", "system", required=True))
-    n_disorder = int(_get(sec, "n_disorder", "system", default=200))
+    n_sites = _get(sec, "n_sites", "system", required=True, cast=int)
+    if n_sites < 1:
+        raise ConfigError(f"'system.n_sites' must be >= 1, got {n_sites}")
+    n_disorder = _get(sec, "n_disorder", "system", default=200, cast=int)
     return sec, n_sites, n_disorder
 
 
@@ -412,13 +401,13 @@ def _cmd_gg(cfg, args):
     d, eps = _constraint(cfg)
     pspec = build_perturbation(cfg)
     sec = _section(cfg, "gg", required=False)
-    n_replicas = int(_get(sec, "n_replicas", "gg", default=2))
-    fname = _get(sec, "functional", "gg", default="entry_00")
+    n_replicas = _get(sec, "n_replicas", "gg", default=2, cast=int)
+    fname = _get(sec, "functional", "gg", default="entry_00", cast=str)
     if fname not in _GG_FUNCTIONALS:
         raise ConfigError(f"gg.functional must be one of {sorted(_GG_FUNCTIONALS)}")
     terms = pspec.terms or (
         system.PerturbationTerm(p=1, ns=(1,), lambdas=np.ones((1, model.kappa))),)
-    term_index = int(_get(sec, "term_index", "gg", default=0))
+    term_index = _get(sec, "term_index", "gg", default=0, cast=int)
     if not 0 <= term_index < len(terms):
         raise ConfigError(f"gg.term_index must lie in [0, {len(terms)}), got {term_index}")
     res = system.gg_discrepancy(model, prior, pspec, n_sites, d, eps,
@@ -451,7 +440,7 @@ def _parser() -> argparse.ArgumentParser:
     ap.add_argument("command", choices=COMMANDS)
     ap.add_argument("--config", required=True, help="YAML run configuration")
     ap.add_argument("--seed", type=int, default=None, help="override the config seed")
-    ap.add_argument("--backend", choices=["quadrature", "mc", "monte_carlo"],
+    ap.add_argument("--backend", choices=["quadrature", "monte_carlo"],
                     default=None, help="override eval.backend")
     ap.add_argument("--out", default=None, help="write the JSON report here")
     ap.add_argument("--threads", type=int, default=1)
@@ -471,10 +460,10 @@ def main(argv=None) -> int:
         print(f"config parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 
-    digest = hashlib.sha256(raw_bytes).hexdigest()
     try:
+        seed = _resolve_seed(cfg, args)
         result = _HANDLERS[args.command](cfg, args)
-    except (ConfigError, ValidationError) as exc:
+    except ValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except (BudgetError, InfeasibleError) as exc:
@@ -484,18 +473,13 @@ def main(argv=None) -> int:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 
-    report = emit_report(
-        command=args.command,
-        config_digest=digest,
-        seed=_resolve_seed(cfg, args),
-        backend=result.get("backend"),
-        value=result.get("value"),
-        std_error=result.get("std_error"),
-        components=result.get("components"),
-        checks=result.get("checks"),
-        warnings=result.get("warnings"),
-        runtime_ms=round(1000.0 * (time.perf_counter() - t0), 3),
-    )
+    # a schema-stable report: every key is present, with a default if unset
+    report = _jsonable({
+        "command": args.command, "config_digest": hashlib.sha256(raw_bytes).hexdigest(),
+        "seed": seed, "backend": None, "value": None, "std_error": None, "components": {},
+        "checks": [], "warnings": [], **result,
+        "runtime_ms": round(1000.0 * (time.perf_counter() - t0), 3),
+    })
     text = json.dumps(report, indent=2, sort_keys=True)
     if args.out:
         with open(args.out, "w") as fh:

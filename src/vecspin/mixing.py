@@ -2,8 +2,7 @@
 
 A model couples kappa spin coordinates through a finite table of even-degree
 interaction coefficients beta_p(k).  Everything downstream is built from
-three polynomial kernels, applied either to scalars or entrywise to
-kappa x kappa matrices:
+three polynomial kernels, applied entrywise to kappa x kappa matrices:
 
     xi(x)    = sum_p beta_p(k) beta_p(k') x^p
     xi'(x)   = sum_p p beta_p(k) beta_p(k') x^(p-1)
@@ -110,37 +109,6 @@ class MixedModel:
                     f"(2c)^-{p} = {cap:g} for support bound c = {support_bound:g}"
                 )
         return out
-
-
-def _check_index(model: MixedModel, k: int, kp: int) -> None:
-    if not (0 <= k < model.kappa and 0 <= kp < model.kappa):
-        raise IndexError(
-            f"coordinate indices ({k}, {kp}) out of range for kappa={model.kappa}"
-        )
-
-
-def xi_scalar(model: MixedModel, k: int, kp: int, x: float) -> float:
-    """sum_p beta_p(k) beta_p(k') x^p. Coordinates are 0-based."""
-    _check_index(model, k, kp)
-    return float(
-        sum(beta[k] * beta[kp] * x**p for p, beta in model.coefficients.items())
-    )
-
-
-def xi_prime_scalar(model: MixedModel, k: int, kp: int, x: float) -> float:
-    """sum_p p beta_p(k) beta_p(k') x^(p-1)."""
-    _check_index(model, k, kp)
-    return float(
-        sum(p * beta[k] * beta[kp] * x ** (p - 1) for p, beta in model.coefficients.items())
-    )
-
-
-def theta_scalar(model: MixedModel, k: int, kp: int, x: float) -> float:
-    """sum_p (p-1) beta_p(k) beta_p(k') x^p, equal to x xi'(x) - xi(x)."""
-    _check_index(model, k, kp)
-    return float(
-        sum((p - 1) * beta[k] * beta[kp] * x**p for p, beta in model.coefficients.items())
-    )
 
 
 def _check_shape(model: MixedModel, a: np.ndarray) -> np.ndarray:

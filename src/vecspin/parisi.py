@@ -86,6 +86,9 @@ BLOCK_ENTRIES = 1 << 14
 #: The lambda descent of ``phi_star`` stops once max |gradient| falls to this.
 GRAD_TOL = 1e-8
 
+#: First step of the lambda descent; an accepted step doubles, up to 1e3 times this.
+LAMBDA_STEP = 0.1
+
 #: First step of the outer hull ascent in ``optimize``; halved on each
 #: rejected step, which stops the ascent below 1e-4.
 OUTER_STEP = 0.25
@@ -370,17 +373,14 @@ class EvalSpec:
     samples_per_level: int = 512
     replications: int = 8
     seed: int = 0
-    antithetic: bool = False
     threads: int = 1
 
     def __post_init__(self):
-        if self.backend not in ("quadrature", "monte_carlo", "mc"):
+        if self.backend not in ("quadrature", "monte_carlo"):
             raise ValidationError(f"unknown backend {self.backend!r}")
         if self.nodes_per_level < 1 or self.samples_per_level < 1:
             raise ValidationError("node and sample counts must be positive")
         check_replications(self.replications)
-        if self.antithetic and self.samples_per_level % 2:
-            raise ValidationError("antithetic sampling needs an even sample count")
 
     @property
     def is_quadrature(self) -> bool:
@@ -389,10 +389,9 @@ class EvalSpec:
 
 @dataclass(frozen=True)
 class OptimizerSpec:
-    """Budgets and step sizes for the Legendre transform and the sup-inf."""
+    """Budgets for the Legendre transform and the sup-inf."""
 
     max_iter: int = 500
-    step: float = 0.1
     multistarts: int = 8
     alternations: int = 6
     path_steps: int = 60
@@ -515,8 +514,7 @@ def _grow(z, offsets):
     return (z[:, None, :] + offsets[None, :, :]).reshape(-1, z.shape[1])
 
 
-def _phi_quad(model, prior, lam, path, nodes, external_field=None,
-              extra_const=0.0, want_grad=False):
+def _phi_quad(model, prior, lam, path, nodes, external_field=None, want_grad=False):
     """The recursion by tensor Gauss-Hermite quadrature over the level plan.
 
     The grid is walked in blocks of at most ``BLOCK_ENTRIES`` entries (or
@@ -549,7 +547,7 @@ def _phi_quad(model, prior, lam, path, nodes, external_field=None,
         for offs, _ in levels[cut:]:
             z = _grow(z, offs)
         v, g = _bottom(prior.points, base, z, pair)
-        v, g = _fold(v + extra_const, logws[cut:], x_seq[cut:], g)
+        v, g = _fold(v, logws[cut:], x_seq[cut:], g)
         vals.append(v)
         grads.append(g)
     v, g = _fold(np.concatenate(vals), logws[:cut], x_seq[:cut],
@@ -570,12 +568,7 @@ def _mc_levels(factors, spec: EvalSpec, rng):
         if d == 0:
             logws.append(np.zeros(1))
             continue
-        parents = z.shape[0]
-        if spec.antithetic:
-            half = rng.standard_normal((parents, s // 2, d))
-            u = np.concatenate([half, -half], axis=1)
-        else:
-            u = rng.standard_normal((parents, s, d))
+        u = rng.standard_normal((z.shape[0], s, d))
         z = (z[:, None, :] + u @ f.T).reshape(-1, kappa)
         logws.append(np.full(s, -math.log(s)))
     return z, logws
@@ -621,8 +614,8 @@ def eval_phi_smoothed(model, prior, lam, path, spec: EvalSpec,
     shift = 0.0
     for lc in lam:
         shift += float(np.log(np.sum(w1 * np.exp(lc * math.sqrt(delta) * z1))))
-    value = _phi_quad(model, prior, lam, path, spec.nodes_per_level, extra_const=shift)
-    return value, 0.0
+    # the fold commutes with a constant, so the shift is added to its value
+    return _phi_quad(model, prior, lam, path, spec.nodes_per_level) + shift, 0.0
 
 
 def phi_grad_lambda(model, prior, lam, path, spec: EvalSpec,
@@ -762,7 +755,7 @@ def phi_star(model, prior, d, path: Path, spec: EvalSpec,
     best = (f, lam.copy())
     it = 0
     converged = False
-    step = opt.step
+    step = LAMBDA_STEP
     for it in range(1, opt.max_iter + 1):
         gnorm = float(np.max(np.abs(g)))
         if gnorm <= GRAD_TOL:
@@ -783,7 +776,7 @@ def phi_star(model, prior, d, path: Path, spec: EvalSpec,
         if f < best[0]:
             best = (f, lam.copy())
         # the accepted step seeds the next try, growing while accepts are easy
-        step = min(step * 2.0, 1e3 * opt.step)
+        step = min(step * 2.0, 1e3 * LAMBDA_STEP)
     value, lam = best
     return PhiStarResult(value, lam, converged, it, float(np.max(np.abs(g))))
 

@@ -103,14 +103,10 @@ def hamiltonian_batch(model: MixedModel, configs, disorder: DisorderSample) -> n
             if beta[k] == 0.0:
                 continue
             v = configs[:, :, k]
-            if p == 2:
-                vals = np.einsum("ai,ij,aj->a", v, g, v)
-            else:
-                t = np.tensordot(g, v, axes=([p - 1], [1]))  # (N,)* (p-1) + (n_cfg,)
-                for _ in range(p - 1):
-                    t = np.einsum("i...a,ai->...a", t, v)
-                vals = t
-            out += beta[k] * scale * vals
+            t = np.tensordot(g, v, axes=([p - 1], [1]))  # (N,)* (p-1) + (n_cfg,)
+            for _ in range(p - 1):
+                t = np.einsum("i...a,ai->...a", t, v)
+            out += beta[k] * scale * t
     return out
 
 
@@ -429,7 +425,13 @@ def perturbation_h(spec: PerturbationSpec, prior: SpinPrior, config,
 
 def perturbation_variance_check(spec: PerturbationSpec, prior: SpinPrior,
                                 config, n_draws: int, seed: int) -> tuple[float, float]:
-    """Empirical Var h(sigma) over disorder; raises if it exceeds 1 + 3 s.e."""
+    """Empirical Var h(sigma) over disorder; raises if it exceeds 1 + 3 s.e.
+
+    A sample variance needs at least two draws; fewer raise ValidationError.
+    """
+    check_replications(n_draws)
+    if n_draws < 2:
+        raise ValidationError(f"the variance check needs at least two draws, got {n_draws}")
     config = _as_config(config)
     n = config.shape[0]
     vals = np.empty(n_draws)
@@ -439,8 +441,8 @@ def perturbation_variance_check(spec: PerturbationSpec, prior: SpinPrior,
             for i, t in enumerate(spec.terms)
         ]
         vals[draw] = perturbation_h(spec, prior, config, ds)
-    var = float(vals.var(ddof=1)) if n_draws > 1 else 0.0
-    se = var * math.sqrt(2.0 / max(n_draws - 1, 1))
+    var = float(vals.var(ddof=1))
+    se = var * math.sqrt(2.0 / (n_draws - 1))
     if var > 1.0 + 3.0 * se:
         raise ValidationError(
             f"perturbation variance {var:.3g} exceeds 1 + 3 s.e. = {1 + 3 * se:.3g}"

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -83,6 +84,49 @@ gg:
   n_replicas: 2
   functional: entry_00
 """
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+# key named in the message (and a case label after "-") -> (command, config,
+# text to replace, replacement, extra arguments); each case must exit 3
+MALFORMED = {
+    "seed": ("fe", FE_CONFIG, "seed: 3", "seed: abc", ()),
+    "model.kappa": ("validate", SK_CONFIG, "kappa: 1", "kappa: abc", ()),
+    "eval.nodes_per_level": ("phi", SK_CONFIG, "nodes_per_level: 16",
+                             "nodes_per_level: abc", ()),
+    "optimize.levels": ("optimize", SK_CONFIG + "optimize:\n  levels: abc\n", "", "", ()),
+    "rpc.fanout": ("rpc-check", RPC_CONFIG, "fanout: 64", "fanout: abc", ()),
+    "system.n_disorder": ("fe", FE_CONFIG, "n_disorder: 40", "n_disorder: abc", ()),
+    "constraint.epsilon": ("fe-constrained", FE_CONFIG, "epsilon: 0.5", "epsilon: abc", ()),
+    "perturbation.strength_exponent": ("validate", FE_CONFIG, "u: [1.5]",
+                                       "u: [1.5]\n  strength_exponent: abc", ()),
+    "perturbation.terms-p": ("validate", FE_CONFIG, "- p: 1", "- p: abc", ()),
+    "seed-negative-fe": ("fe", FE_CONFIG, "seed: 3", "seed: -5", ()),
+    "seed-negative-gg": ("gg", FE_CONFIG, "seed: 3", "seed: -5", ()),
+    "seed-flag-negative-fe": ("fe", FE_CONFIG, "", "", ("--seed", "-1")),
+    "seed-flag-negative-gg": ("gg", FE_CONFIG, "", "", ("--seed", "-1")),
+    "path.x": ("phi", SK_CONFIG, "x: [1.0]", "x: [abc]", ()),
+    "lambda": ("phi", SK_CONFIG, "lambda: [0.0]", "lambda: [abc]", ()),
+    "constraint.d": ("fe-constrained", FE_CONFIG, "d: [[1.0]]", "d: [[abc]]", ()),
+    "perturbation.u": ("validate", FE_CONFIG, "u: [1.5]", "u: [abc]", ()),
+    "prior.atoms-weight": ("validate", SK_CONFIG, "weight: 1.0", "weight: abc", ()),
+    "model.coefficients": ("validate", SK_CONFIG, "2: [0.5]", "x: [0.5]", ()),
+    "prior.atoms-ragged": ("validate", SK_CONFIG, "point: [-1.0]", "point: [-1.0, 0.0]", ()),
+    "perturbation.terms-no-p": ("validate", FE_CONFIG, "- p: 1\n      ns", "- ns", ()),
+    "perturbation.terms-ns": ("validate", FE_CONFIG, "ns: [1]", "ns: 1", ()),
+    "gg.functional": ("gg", FE_CONFIG, "functional: entry_00", "functional: [1]", ()),
+    "system.n_sites-fe": ("fe", FE_CONFIG, "n_sites: 4", "n_sites: 0", ()),
+    "system.n_sites-cov-check": ("cov-check", FE_CONFIG, "n_sites: 4", "n_sites: 0", ()),
+}
+
+# every command each shipped config serves, except the long optimize run
+SHIPPED = [
+    ("sk_ising", ("validate", "phi", "parisi", "phistar")),
+    ("heisenberg_like", ("validate", "phistar")),
+    ("rpc_check", ("rpc-check",)),
+    ("fe_small", ("fe", "fe-constrained", "cov-check", "gg")),
+]
 
 
 def write(tmp_path, text, name="cfg.yaml"):
@@ -208,6 +252,15 @@ class TestDeterminism:
         assert r1["seed"] == 123
 
 
+class TestShippedConfigs:
+    @pytest.mark.parametrize("name,commands", SHIPPED, ids=[n for n, _ in SHIPPED])
+    def test_commands_pass(self, name, commands, capsys):
+        for command in commands:
+            code, report = run(capsys, command, "--config", str(CONFIGS / f"{name}.yaml"))
+            assert code == 0, command
+            assert all(c["pass"] for c in report["checks"]), command
+
+
 class TestExitCodes:
     def test_missing_file(self, capsys):
         assert main(["validate", "--config", "/no/such/file.yaml"]) == 2
@@ -238,3 +291,11 @@ class TestExitCodes:
         for index in (1, 3, -1):
             bad = FE_CONFIG + f"  term_index: {index}\n"
             assert main(["gg", "--config", write(tmp_path, bad, "idx.yaml")]) == 3, index
+
+    @pytest.mark.parametrize("key", sorted(MALFORMED))
+    def test_malformed_value(self, key, tmp_path, capsys):
+        command, text, old, new, extra = MALFORMED[key]
+        assert old in text
+        cfg = write(tmp_path, text.replace(old, new, 1), "bad.yaml")
+        assert main([command, "--config", cfg, *extra]) == 3
+        assert key.split("-")[0] in capsys.readouterr().err

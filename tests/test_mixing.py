@@ -6,12 +6,9 @@ from vecspin.mixing import (
     hamiltonian_covariance,
     sum_all,
     theta_matrix,
-    theta_scalar,
     validate_gram,
     xi_matrix,
     xi_prime_matrix,
-    xi_prime_scalar,
-    xi_scalar,
 )
 from vecspin.rng import spawn_rng
 
@@ -48,44 +45,39 @@ class TestModelValidation:
 
 
 class TestScalarKernels:
+    """Closed-form values of single kernel entries."""
+
     def test_xi_direct_substitution(self):
         m = MixedModel(1, {2: [0.5]})
-        assert xi_scalar(m, 0, 0, 0.6) == pytest.approx(0.09, abs=1e-15)
+        assert xi_matrix(m, [[0.6]])[0, 0] == pytest.approx(0.09, abs=1e-15)
 
     def test_xi_zero_argument(self):
         m = MixedModel(2, {2: [0.3, 0.4], 4: [0.2, 0.1]})
-        assert xi_scalar(m, 0, 1, 0.0) == 0.0
+        assert xi_matrix(m, [[0.5, 0.0], [0.0, 0.5]])[0, 1] == 0.0
 
     def test_xi_two_terms(self):
         m = MixedModel(1, {2: [0.5], 4: [0.1]})
-        assert xi_scalar(m, 0, 0, 1.0) == pytest.approx(0.26, abs=1e-15)
+        assert xi_matrix(m, [[1.0]])[0, 0] == pytest.approx(0.26, abs=1e-15)
 
     def test_theta_p2_equals_xi(self):
         m = MixedModel(1, {2: [0.5]})
-        assert theta_scalar(m, 0, 0, 0.6) == pytest.approx(0.09, abs=1e-15)
-        assert theta_scalar(m, 0, 0, 0.0) == 0.0
+        assert theta_matrix(m, [[0.6]])[0, 0] == pytest.approx(0.09, abs=1e-15)
+        assert theta_matrix(m, [[0.0]])[0, 0] == 0.0
 
     def test_theta_p4(self):
         m = MixedModel(1, {4: [0.1]})
-        assert theta_scalar(m, 0, 0, 1.0) == pytest.approx(0.03, abs=1e-15)
-
-    def test_index_out_of_range(self):
-        m = MixedModel(2, {2: [0.3, 0.4]})
-        with pytest.raises(IndexError):
-            xi_scalar(m, 0, 2, 0.5)
+        assert theta_matrix(m, [[1.0]])[0, 0] == pytest.approx(0.03, abs=1e-15)
 
     def test_theta_consistency_random(self):
-        # theta = x xi' - xi on ten thousand random evaluations
+        # theta(A) = A∘xi'(A) - xi(A) entrywise, on about ten thousand random
+        # entries of matrices A with entries in [-1, 1]
         rng = spawn_rng(11)
         for _ in range(40):
             kappa = int(rng.integers(1, 4))
             m = random_model(rng, kappa, p_set=(2, 4, 6))
-            ks = rng.integers(0, kappa, size=(250, 2))
-            xs = rng.uniform(-1.0, 1.0, size=250)
-            for (k, kp), x in zip(ks, xs):
-                direct = theta_scalar(m, k, kp, x)
-                composed = x * xi_prime_scalar(m, k, kp, x) - xi_scalar(m, k, kp, x)
-                assert abs(direct - composed) <= 1e-12
+            for a in rng.uniform(-1.0, 1.0, size=(60, kappa, kappa)):
+                composed = a * xi_prime_matrix(m, a) - xi_matrix(m, a)
+                assert np.max(np.abs(theta_matrix(m, a) - composed)) <= 1e-12
 
 
 class TestMatrixKernels:
@@ -108,24 +100,6 @@ class TestMatrixKernels:
         m = MixedModel(2, {2: [1.0, 0.5]})
         with pytest.raises(ValidationError):
             xi_matrix(m, np.zeros((3, 3)))
-
-    def test_entrywise_agreement_random(self):
-        rng = spawn_rng(12)
-        for _ in range(50):
-            kappa = int(rng.integers(1, 4))
-            m = random_model(rng, kappa, p_set=(2, 4))
-            a = rng.uniform(-1.0, 1.0, size=(kappa, kappa))
-            for mat_fn, sc_fn in [
-                (xi_matrix, xi_scalar),
-                (xi_prime_matrix, xi_prime_scalar),
-                (theta_matrix, theta_scalar),
-            ]:
-                got = mat_fn(m, a)
-                want = np.array(
-                    [[sc_fn(m, k, kp, a[k, kp]) for kp in range(kappa)]
-                     for k in range(kappa)]
-                )
-                np.testing.assert_allclose(got, want, atol=1e-12)
 
     def test_psd_monotonicity_smoke(self):
         # full thousand-pair suite lives in the acceptance module

@@ -204,7 +204,7 @@ class TestEvalPhi:
             lam = random_lambda(rng, kappa)
             vq, _ = eval_phi(m, prior, lam, path, QUAD)
             mc = EvalSpec(backend="monte_carlo", samples_per_level=300,
-                          replications=12, seed=1000 + i, antithetic=True)
+                          replications=12, seed=1000 + i)
             vm, se = eval_phi(m, prior, lam, path, mc)
             assert abs(vm - vq) <= 3.0 * se + 1e-3
 

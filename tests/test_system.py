@@ -194,6 +194,14 @@ class TestPerturbation:
                                               200, seed=21)
         assert var <= 1.0
 
+    def test_variance_check_needs_two_draws(self):
+        term = PerturbationTerm(p=1, ns=(1,), lambdas=np.array([[1.0]]))
+        spec = PerturbationSpec(terms=(term,), u=(2.0,))
+        for n_draws in (0, 1):
+            with pytest.raises(ValidationError):
+                perturbation_variance_check(spec, PROB_ISING, np.ones((3, 1)),
+                                            n_draws, seed=21)
+
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValidationError):
             PerturbationTerm(p=0, ns=(1,), lambdas=np.array([[1.0]]))
