@@ -71,6 +71,13 @@ def _get(sec: dict, name: str, where: str, default=None, required: bool = False,
         raise ConfigError(f"'{key}' is malformed: {exc}") from None
 
 
+def _int(value) -> int:
+    """``int(value)``, refusing a number that the conversion would change."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{value!r} is not an integer")
+    return int(value)
+
+
 def _floats(value) -> np.ndarray:
     return np.asarray(value, dtype=float)
 
@@ -83,16 +90,17 @@ def _read(cls, cfg: dict, section: str, **fixed):
     """
     sec = _section(cfg, section, required=False)
     return cls(**fixed, **{
-        f.name: _get(sec, f.name, section, f.default, cast=type(f.default))
+        f.name: _get(sec, f.name, section, f.default,
+                     cast=_int if type(f.default) is int else type(f.default))
         for f in dataclasses.fields(cls) if f.name not in fixed
     })
 
 
 def build_model(cfg: dict) -> MixedModel:
     sec = _section(cfg, "model")
-    kappa = _get(sec, "kappa", "model", required=True, cast=int)
+    kappa = _get(sec, "kappa", "model", required=True, cast=_int)
     coeffs = _get(sec, "coefficients", "model", default={}, cast=lambda raw: {
-        int(p): _floats(v) for p, v in dict(raw).items()})
+        _int(p): _floats(v) for p, v in dict(raw).items()})
     return MixedModel(kappa, coeffs)
 
 
@@ -143,7 +151,7 @@ def build_perturbation(cfg: dict) -> system.PerturbationSpec:
     sec = _section(cfg, "perturbation", required=False)
     try:
         terms = tuple(
-            system.PerturbationTerm(p=int(raw["p"]), ns=tuple(int(n) for n in raw["ns"]),
+            system.PerturbationTerm(p=_int(raw["p"]), ns=tuple(_int(n) for n in raw["ns"]),
                                     lambdas=_floats(raw["lambdas"]))
             for raw in _get(sec, "terms", "perturbation", default=[])
         )
@@ -155,7 +163,7 @@ def build_perturbation(cfg: dict) -> system.PerturbationSpec:
 
 
 def _resolve_seed(cfg: dict, args) -> int:
-    seed = args.seed if args.seed is not None else _get(cfg, "seed", "", 0, cast=int)
+    seed = args.seed if args.seed is not None else _get(cfg, "seed", "", 0, cast=_int)
     if seed < 0:
         raise ConfigError(f"'seed' must be >= 0, got {seed}")
     return seed
@@ -276,7 +284,7 @@ def _cmd_optimize(cfg, args):
     spec = build_eval_spec(cfg, args)
     opt = build_optimizer_spec(cfg, args)
     sec = _section(cfg, "optimize", required=False)
-    levels = _get(sec, "levels", "optimize", default=2, cast=int)
+    levels = _get(sec, "levels", "optimize", default=2, cast=_int)
     res = parisi.optimize(model, prior, levels, spec, opt)
     return {"value": res.value, "components": res.to_dict(), "backend": spec.backend}
 
@@ -288,9 +296,9 @@ def _cmd_rpc_check(cfg, args):
     lam = build_lambda(cfg, model.kappa)
     spec = build_eval_spec(cfg, args)
     sec = _section(cfg, "rpc", required=False)
-    fanout = _get(sec, "fanout", "rpc", default=128, cast=int)
-    reps = _get(sec, "replications", "rpc", default=200, cast=int)
-    m_sites = _get(sec, "m_sites", "rpc", default=20, cast=int)
+    fanout = _get(sec, "fanout", "rpc", default=128, cast=_int)
+    reps = _get(sec, "replications", "rpc", default=200, cast=_int)
+    m_sites = _get(sec, "m_sites", "rpc", default=20, cast=_int)
     seed = _resolve_seed(cfg, args)
 
     quad = parisi.eval_phi(model, prior, lam, path, spec)
@@ -325,10 +333,10 @@ def _cmd_rpc_check(cfg, args):
 
 def _system_params(cfg):
     sec = _section(cfg, "system")
-    n_sites = _get(sec, "n_sites", "system", required=True, cast=int)
+    n_sites = _get(sec, "n_sites", "system", required=True, cast=_int)
     if n_sites < 1:
         raise ConfigError(f"'system.n_sites' must be >= 1, got {n_sites}")
-    n_disorder = _get(sec, "n_disorder", "system", default=200, cast=int)
+    n_disorder = _get(sec, "n_disorder", "system", default=200, cast=_int)
     return sec, n_sites, n_disorder
 
 
@@ -401,13 +409,13 @@ def _cmd_gg(cfg, args):
     d, eps = _constraint(cfg)
     pspec = build_perturbation(cfg)
     sec = _section(cfg, "gg", required=False)
-    n_replicas = _get(sec, "n_replicas", "gg", default=2, cast=int)
+    n_replicas = _get(sec, "n_replicas", "gg", default=2, cast=_int)
     fname = _get(sec, "functional", "gg", default="entry_00", cast=str)
     if fname not in _GG_FUNCTIONALS:
         raise ConfigError(f"gg.functional must be one of {sorted(_GG_FUNCTIONALS)}")
     terms = pspec.terms or (
         system.PerturbationTerm(p=1, ns=(1,), lambdas=np.ones((1, model.kappa))),)
-    term_index = _get(sec, "term_index", "gg", default=0, cast=int)
+    term_index = _get(sec, "term_index", "gg", default=0, cast=_int)
     if not 0 <= term_index < len(terms):
         raise ConfigError(f"gg.term_index must lie in [0, {len(terms)}), got {term_index}")
     res = system.gg_discrepancy(model, prior, pspec, n_sites, d, eps,

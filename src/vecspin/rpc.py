@@ -127,26 +127,22 @@ def sample_cascade(x, fanout: int, seed) -> CascadeTree:
 class TreeGaussianField:
     """Leaf sums of per-node Gaussian increments on a cascade tree.
 
-    ``z`` is (n_leaves, kappa) and ``y`` is (n_leaves,); ``node_z`` and
-    ``node_y`` keep the raw per-depth increments for covariance checks.
+    ``z`` is (n_leaves, kappa) and ``y`` is (n_leaves,).
     """
 
     tree: CascadeTree
     z: np.ndarray
     y: np.ndarray
-    node_z: list
-    node_y: list
 
 
 def _sample_tree_fields(fanout, z_factors, y_vars, rng):
-    """Per-depth increments and their leaf accumulations.
+    """Leaf sums (z, y) of the per-depth Gaussian increments.
 
     Either field may be None: it is then neither drawn nor returned (its
     leaf sum is None), so a caller spends no draws on a field it discards.
     At each depth the vector increments are drawn before the scalar ones.
     """
     depth = len(z_factors) if z_factors is not None else len(y_vars)
-    node_z, node_y = [], []
     z = None if z_factors is None else np.zeros((1, z_factors[0].shape[0]))
     y = None if y_vars is None else np.zeros(1)
     nodes = 1
@@ -154,13 +150,11 @@ def _sample_tree_fields(fanout, z_factors, y_vars, rng):
         nodes *= fanout
         if z is not None:
             inc_z = rng.standard_normal((nodes, z_factors[j].shape[1])) @ z_factors[j].T
-            node_z.append(inc_z)
             z = np.repeat(z, fanout, axis=0) + inc_z
         if y is not None:
             inc_y = math.sqrt(y_vars[j]) * rng.standard_normal(nodes)
-            node_y.append(inc_y)
             y = np.repeat(y, fanout) + inc_y
-    return node_z, node_y, z, y
+    return z, y
 
 
 def sample_fields(tree: CascadeTree, model: MixedModel, path: Path,
@@ -175,8 +169,8 @@ def sample_fields(tree: CascadeTree, model: MixedModel, path: Path,
     rng = seed if isinstance(seed, np.random.Generator) else spawn_rng(int(seed))
     z_factors = [_psd_factor(c) for c in increments(model, path)]
     y_vars = theta_increments(model, path)
-    node_z, node_y, z, y = _sample_tree_fields(tree.fanout, z_factors, y_vars, rng)
-    return TreeGaussianField(tree, z, y, node_z, node_y)
+    z, y = _sample_tree_fields(tree.fanout, z_factors, y_vars, rng)
+    return TreeGaussianField(tree, z, y)
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +197,7 @@ def simulate_phi(model: MixedModel, prior: SpinPrior, lam, path: Path,
         z0 = rng.standard_normal(lead_f.shape[1]) @ lead_f.T
         if core_f:
             tree = sample_cascade(x_seq[1:], fanout, rng)
-            _, _, z_leaf, _ = _sample_tree_fields(fanout, core_f, None, rng)
+            z_leaf, _ = _sample_tree_fields(fanout, core_f, None, rng)
             z = z0[None, :] + z_leaf
             logw = tree.log_weights
         else:
@@ -242,7 +236,7 @@ def simulate_y_functional(model: MixedModel, path: Path, m_sites: int,
         y0 = math.sqrt(plan.y_lead) * rng.standard_normal() if plan.y_lead > 0 else 0.0
         if plan.x.size:
             tree = sample_cascade(plan.x, fanout, rng)
-            _, _, _, y_leaf = _sample_tree_fields(fanout, None, plan.y, rng)
+            _, y_leaf = _sample_tree_fields(fanout, None, plan.y, rng)
             inner = float(_logsumexp(tree.log_weights + root_m * y_leaf))
         else:
             inner = 0.0

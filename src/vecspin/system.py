@@ -523,12 +523,10 @@ def gg_discrepancy(model: MixedModel, prior: SpinPrior, spec: PerturbationSpec,
 
     # f evaluated once on the full tuple grid (draw independent)
     shape = (n_cfg,) * n_replicas
+    grid = np.indices(shape, sparse=True)
     rn = np.empty(shape + (n_replicas, n_replicas) + pair_overlap.shape[2:])
-    ar = np.arange(n_cfg)
-    for i in range(n_replicas):
-        gi = ar.reshape((1,) * i + (n_cfg,) + (1,) * (n_replicas - 1 - i))
-        for j in range(n_replicas):
-            gj = ar.reshape((1,) * j + (n_cfg,) + (1,) * (n_replicas - 1 - j))
+    for i, gi in enumerate(grid):
+        for j, gj in enumerate(grid):
             rn[..., i, j, :, :] = pair_overlap[gi, gj]
     f_vals = np.asarray(f(rn), dtype=float)
     if f_vals.shape != shape:
@@ -537,13 +535,9 @@ def gg_discrepancy(model: MixedModel, prior: SpinPrior, spec: PerturbationSpec,
         )
 
     s_n = spec.strength(n_sites)
-    letters = "abcdefgh"[:n_replicas]
 
-    def contract(tensor, weights_by_axis):
-        sub = letters + "," + ",".join(letters[i] for i in range(n_replicas))
-        return float(np.einsum(sub + "->", tensor, *weights_by_axis))
-
-    def one(draw: int):
+    def one(draw: int) -> list[float]:
+        """(E<f C_{1,n+1}>, E<f>, E<C_{1,2}>, E<f C_{1,l}> for l = 2..n) of one draw."""
         dis = sample_disorder(model, n_sites, int(spawn_rng(seed, draw, 0).integers(2**63)))
         h = hamiltonian_batch(model, configs, dis)
         if spec.terms:
@@ -558,42 +552,31 @@ def gg_discrepancy(model: MixedModel, prior: SpinPrior, spec: PerturbationSpec,
             )
         logits = logw + h
         probs = np.exp(logits - _logsumexp(logits))
+        # f weighted by the product Gibbs measure of the n replicas
+        fw = f_vals * probs[grid[0]]
+        for g in grid[1:]:
+            fw *= probs[g]
+        # the (1, l) marginals of fw; summing the (1, 2) one over replica 2
+        # leaves replica 1's, which meets the fresh replica n + 1 through C @ probs
+        marginals = [fw.sum(axis=tuple(k for k in range(1, n_replicas) if k != ell))
+                     for ell in range(1, n_replicas)]
         cbar = c_matrix @ probs
-        t1 = contract(f_vals, [probs * cbar] + [probs] * (n_replicas - 1))
-        af = contract(f_vals, [probs] * n_replicas)
-        bc = float(probs @ c_matrix @ probs)
-        t3 = []
-        for ell in range(1, n_replicas):
-            sub = f"{letters},{letters[0]}{letters[ell]}," + ",".join(
-                letters[i] for i in range(n_replicas)
-            )
-            t3.append(float(np.einsum(sub + "->", f_vals, c_matrix,
-                                      *([probs] * n_replicas))))
-        return t1, af, bc, t3
+        t3 = [float(np.sum(m * c_matrix)) for m in marginals]
+        return [float(marginals[0].sum(axis=1) @ cbar), float(fw.sum()),
+                float(probs @ c_matrix @ probs), *t3]
 
-    rows = parallel_map(one, n_disorder, threads)
-    t1 = np.array([r[0] for r in rows])
-    af = np.array([r[1] for r in rows])
-    bc = np.array([r[2] for r in rows])
-    t3 = np.array([r[3] for r in rows])  # (draws, n-1)
+    rows = np.array(parallel_map(one, n_disorder, threads))  # (draws, n + 2)
+    t1, af, bc, *t3 = rows.mean(axis=0)
     n_inv = 1.0 / n_replicas
-    inner = t1.mean() - n_inv * af.mean() * bc.mean() - n_inv * t3.mean(axis=0).sum()
-    delta = abs(float(inner))
-    if n_disorder > 1:
-        stacked = np.column_stack([t1, af, bc, t3])
-        grad = np.concatenate(
-            [[1.0, -n_inv * bc.mean(), -n_inv * af.mean()],
-             np.full(t3.shape[1], -n_inv)]
-        )
-        cov = np.cov(stacked, rowvar=False)
-        se = float(np.sqrt(max(grad @ np.atleast_2d(cov) @ grad, 0.0) / n_disorder))
-    else:
-        se = 0.0
+    delta = abs(float(t1 - n_inv * af * bc - n_inv * sum(t3)))
+    # delta method: the sample variance of the linearised rows is grad.Cov.grad
+    grad = np.array([1.0, -n_inv * bc, -n_inv * af] + [-n_inv] * len(t3))
+    se = mean_and_se(rows @ grad)[1]
     components = {
-        "t1": float(t1.mean()),
-        "f_mean": float(af.mean()),
-        "c_mean": float(bc.mean()),
-        "t3": [float(v) for v in t3.mean(axis=0)],
+        "t1": float(t1),
+        "f_mean": float(af),
+        "c_mean": float(bc),
+        "t3": [float(v) for v in t3],
         "n_configs": int(n_cfg),
         "strength": s_n,
     }

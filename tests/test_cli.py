@@ -118,6 +118,11 @@ MALFORMED = {
     "gg.functional": ("gg", FE_CONFIG, "functional: entry_00", "functional: [1]", ()),
     "system.n_sites-fe": ("fe", FE_CONFIG, "n_sites: 4", "n_sites: 0", ()),
     "system.n_sites-cov-check": ("cov-check", FE_CONFIG, "n_sites: 4", "n_sites: 0", ()),
+    "seed-fraction": ("fe", FE_CONFIG, "seed: 3", "seed: 1.9", ()),
+    "model.coefficients-fraction": ("validate", SK_CONFIG, "2: [0.5]", "2.5: [0.5]", ()),
+    "eval.nodes_per_level-fraction": ("phi", SK_CONFIG, "nodes_per_level: 16",
+                                      "nodes_per_level: 3.7", ()),
+    "perturbation.terms-p-fraction": ("validate", FE_CONFIG, "- p: 1", "- p: 1.5", ()),
 }
 
 # every command each shipped config serves, except the long optimize run

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -238,14 +239,50 @@ class TestGGDiscrepancy:
         assert res.delta <= 1e-14
         assert res.std_error <= 1e-14
 
-    def test_iid_odd_functional_matches_direct_count(self):
-        # for independent uniform spins the residual is (1/2) E[R12^2] = 1/(2N)
+    @pytest.mark.parametrize("n_replicas, n_sites", [(2, 4), (3, 4), (9, 1)])
+    def test_iid_odd_functional_matches_direct_count(self, n_replicas, n_sites):
+        # for independent uniform spins only E<R12 C_{1,2}> = E[R12^2] = 1/N
+        # survives, so the residual is 1/(n N)
         m0 = MixedModel(1, {})
-        n = 4
-        res = gg_discrepancy(m0, COUNTING_ISING, PerturbationSpec(), n,
-                             np.array([[1.0]]), 0.5, 2, F_ENTRY, ODD_TERM,
+        res = gg_discrepancy(m0, COUNTING_ISING, PerturbationSpec(), n_sites,
+                             np.array([[1.0]]), 0.5, n_replicas, F_ENTRY, ODD_TERM,
                              3, seed=24)
-        assert res.delta == pytest.approx(1.0 / (2 * n), abs=1e-12)
+        assert res.delta == pytest.approx(1.0 / (n_replicas * n_sites), abs=1e-12)
+
+    def test_three_replica_terms_match_tuple_sums(self):
+        # no disorder and no perturbation: the Gibbs measure is the prior on
+        # {-1, 1}^2, C_{a,b} = R_ab, and each term is a sum over replica tuples
+        prior = SpinPrior.from_atoms([([1.0], 1.0), ([-1.0], 3.0)])
+        n_sites = 2
+        res = gg_discrepancy(
+            MixedModel(1, {}), prior, PerturbationSpec(), n_sites, np.array([[1.0]]),
+            0.5, 3, lambda rn: rn[..., 0, 1, 0, 0] + 2 * rn[..., 1, 2, 0, 0]
+            + rn[..., 0, 2, 0, 0] ** 2, ODD_TERM, 2, seed=27)
+        configs, logw = enumerate_configs(prior, n_sites)
+        probs = np.exp(logw) / np.exp(logw).sum()
+        r = configs[:, :, 0] @ configs[:, :, 0].T / n_sites
+
+        def gibbs(g, n):
+            return sum(np.prod(probs[list(t)]) * g(*t)
+                       for t in itertools.product(range(probs.size), repeat=n))
+
+        def f(a, b, c):
+            return r[a, b] + 2 * r[b, c] + r[a, c] ** 2
+
+        t1 = gibbs(lambda a, b, c, e: f(a, b, c) * r[a, e], 4)
+        f_mean = gibbs(f, 3)
+        c_mean = gibbs(lambda a, b: r[a, b], 2)
+        t3 = [gibbs(lambda a, b, c: f(a, b, c) * r[a, b], 3),
+              gibbs(lambda a, b, c: f(a, b, c) * r[a, c], 3)]
+        comp = res.components
+        assert comp["t1"] == pytest.approx(t1, abs=1e-14)
+        assert comp["f_mean"] == pytest.approx(f_mean, abs=1e-14)
+        assert comp["c_mean"] == pytest.approx(c_mean, abs=1e-14)
+        assert comp["t3"] == pytest.approx(t3, abs=1e-14)
+        delta = abs(t1 - f_mean * c_mean / 3 - sum(t3) / 3)
+        assert delta > 0.01
+        assert res.delta == pytest.approx(delta, abs=1e-14)
+        assert res.std_error == 0.0
 
     def test_three_replicas_run(self):
         m = MixedModel(1, {2: [0.3]})
