@@ -19,7 +19,7 @@ import numpy as np
 import yaml
 
 from . import parisi, rpc, system
-from .errors import BudgetError, InfeasibleError, NumericalError, ValidationError
+from .errors import BudgetError, InfeasibleError, NumericalError, ValidationError, as_int
 from .mixing import MixedModel, hamiltonian_covariance
 from .prior import ConstraintHull, SpinPrior, hull_membership
 from .rng import spawn_rng
@@ -71,13 +71,6 @@ def _get(sec: dict, name: str, where: str, default=None, required: bool = False,
         raise ConfigError(f"'{key}' is malformed: {exc}") from None
 
 
-def _int(value) -> int:
-    """``int(value)``, refusing a number that the conversion would change."""
-    if isinstance(value, float) and not value.is_integer():
-        raise ValueError(f"{value!r} is not an integer")
-    return int(value)
-
-
 def _floats(value) -> np.ndarray:
     return np.asarray(value, dtype=float)
 
@@ -91,16 +84,16 @@ def _read(cls, cfg: dict, section: str, **fixed):
     sec = _section(cfg, section, required=False)
     return cls(**fixed, **{
         f.name: _get(sec, f.name, section, f.default,
-                     cast=_int if type(f.default) is int else type(f.default))
+                     cast=as_int if type(f.default) is int else type(f.default))
         for f in dataclasses.fields(cls) if f.name not in fixed
     })
 
 
 def build_model(cfg: dict) -> MixedModel:
     sec = _section(cfg, "model")
-    kappa = _get(sec, "kappa", "model", required=True, cast=_int)
+    kappa = _get(sec, "kappa", "model", required=True, cast=as_int)
     coeffs = _get(sec, "coefficients", "model", default={}, cast=lambda raw: {
-        _int(p): _floats(v) for p, v in dict(raw).items()})
+        as_int(p): _floats(v) for p, v in dict(raw).items()})
     return MixedModel(kappa, coeffs)
 
 
@@ -151,8 +144,7 @@ def build_perturbation(cfg: dict) -> system.PerturbationSpec:
     sec = _section(cfg, "perturbation", required=False)
     try:
         terms = tuple(
-            system.PerturbationTerm(p=_int(raw["p"]), ns=tuple(_int(n) for n in raw["ns"]),
-                                    lambdas=_floats(raw["lambdas"]))
+            system.PerturbationTerm(p=raw["p"], ns=raw["ns"], lambdas=_floats(raw["lambdas"]))
             for raw in _get(sec, "terms", "perturbation", default=[])
         )
     except (KeyError, TypeError, ValueError) as exc:
@@ -163,7 +155,7 @@ def build_perturbation(cfg: dict) -> system.PerturbationSpec:
 
 
 def _resolve_seed(cfg: dict, args) -> int:
-    seed = args.seed if args.seed is not None else _get(cfg, "seed", "", 0, cast=_int)
+    seed = args.seed if args.seed is not None else _get(cfg, "seed", "", 0, cast=as_int)
     if seed < 0:
         raise ConfigError(f"'seed' must be >= 0, got {seed}")
     return seed
@@ -284,7 +276,7 @@ def _cmd_optimize(cfg, args):
     spec = build_eval_spec(cfg, args)
     opt = build_optimizer_spec(cfg, args)
     sec = _section(cfg, "optimize", required=False)
-    levels = _get(sec, "levels", "optimize", default=2, cast=_int)
+    levels = _get(sec, "levels", "optimize", default=2, cast=as_int)
     res = parisi.optimize(model, prior, levels, spec, opt)
     return {"value": res.value, "components": res.to_dict(), "backend": spec.backend}
 
@@ -296,9 +288,9 @@ def _cmd_rpc_check(cfg, args):
     lam = build_lambda(cfg, model.kappa)
     spec = build_eval_spec(cfg, args)
     sec = _section(cfg, "rpc", required=False)
-    fanout = _get(sec, "fanout", "rpc", default=128, cast=_int)
-    reps = _get(sec, "replications", "rpc", default=200, cast=_int)
-    m_sites = _get(sec, "m_sites", "rpc", default=20, cast=_int)
+    fanout = _get(sec, "fanout", "rpc", default=128, cast=as_int)
+    reps = _get(sec, "replications", "rpc", default=200, cast=as_int)
+    m_sites = _get(sec, "m_sites", "rpc", default=20, cast=as_int)
     seed = _resolve_seed(cfg, args)
 
     quad = parisi.eval_phi(model, prior, lam, path, spec)
@@ -333,10 +325,10 @@ def _cmd_rpc_check(cfg, args):
 
 def _system_params(cfg):
     sec = _section(cfg, "system")
-    n_sites = _get(sec, "n_sites", "system", required=True, cast=_int)
+    n_sites = _get(sec, "n_sites", "system", required=True, cast=as_int)
     if n_sites < 1:
         raise ConfigError(f"'system.n_sites' must be >= 1, got {n_sites}")
-    n_disorder = _get(sec, "n_disorder", "system", default=200, cast=_int)
+    n_disorder = _get(sec, "n_disorder", "system", default=200, cast=as_int)
     return sec, n_sites, n_disorder
 
 
@@ -409,13 +401,13 @@ def _cmd_gg(cfg, args):
     d, eps = _constraint(cfg)
     pspec = build_perturbation(cfg)
     sec = _section(cfg, "gg", required=False)
-    n_replicas = _get(sec, "n_replicas", "gg", default=2, cast=_int)
+    n_replicas = _get(sec, "n_replicas", "gg", default=2, cast=as_int)
     fname = _get(sec, "functional", "gg", default="entry_00", cast=str)
     if fname not in _GG_FUNCTIONALS:
         raise ConfigError(f"gg.functional must be one of {sorted(_GG_FUNCTIONALS)}")
     terms = pspec.terms or (
         system.PerturbationTerm(p=1, ns=(1,), lambdas=np.ones((1, model.kappa))),)
-    term_index = _get(sec, "term_index", "gg", default=0, cast=_int)
+    term_index = _get(sec, "term_index", "gg", default=0, cast=as_int)
     if not 0 <= term_index < len(terms):
         raise ConfigError(f"gg.term_index must lie in [0, {len(terms)}), got {term_index}")
     res = system.gg_discrepancy(model, prior, pspec, n_sites, d, eps,

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer rule they enforce."""
 
 
 class ValidationError(ValueError):
@@ -15,3 +15,10 @@ class InfeasibleError(RuntimeError):
 
 class NumericalError(RuntimeError):
     """A numerical routine failed beyond the documented tolerances."""
+
+
+def as_int(value) -> int:
+    """``int(value)``, refusing a number that the conversion would change."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValidationError(f"{value!r} is not an integer")
+    return int(value)

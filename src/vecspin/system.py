@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetError, InfeasibleError, ValidationError
+from .errors import BudgetError, InfeasibleError, ValidationError, as_int
 from .mixing import MixedModel
 from .prior import SpinPrior, build_modifier, self_overlap
 from .rng import check_replications, mean_and_se, parallel_map, spawn_rng
@@ -298,7 +298,8 @@ class PerturbationTerm:
     """One interaction pattern: degree p, repetition counts, direction vectors.
 
     ``lambdas`` is (m, kappa) with entries in [-1, 1]; ``ns`` gives how many
-    index blocks each direction receives.
+    index blocks each direction receives.  ``p`` and ``ns`` are stored as
+    ints; a number that ``int`` would change raises ValidationError.
     """
 
     p: int
@@ -306,9 +307,10 @@ class PerturbationTerm:
     lambdas: np.ndarray
 
     def __post_init__(self):
-        if self.p < 1:
+        p = as_int(self.p)
+        if p < 1:
             raise ValidationError("perturbation degree p must be >= 1")
-        ns = tuple(int(n) for n in self.ns)
+        ns = tuple(as_int(n) for n in self.ns)
         if len(ns) < 1 or any(n < 1 for n in ns):
             raise ValidationError("repetition counts must be positive")
         lam = np.atleast_2d(np.asarray(self.lambdas, dtype=float))
@@ -318,6 +320,7 @@ class PerturbationTerm:
             raise ValidationError("direction entries must lie in [-1, 1]")
         lam = lam.copy()
         lam.flags.writeable = False
+        object.__setattr__(self, "p", p)
         object.__setattr__(self, "ns", ns)
         object.__setattr__(self, "lambdas", lam)
 
@@ -411,16 +414,46 @@ def perturbation_h_theta(term: PerturbationTerm, config,
     return float(_perturbation_coefficients(term, config) @ disorder_theta)
 
 
+def _perturbation_field(spec: PerturbationSpec, prior: SpinPrior, configs: np.ndarray):
+    """The family's field over a batch of (N, kappa) configurations, as a
+    function of the per-term couplings.
+
+    Term i's weight w_i and its (n_cfg, N^(p sum n)) coefficient matrix K_i
+    are built once here; each call is then sum_i w_i (K_i @ g_i).  Raises
+    BudgetError before building a matrix of more than BUDGET entries.
+    """
+    n_cfg, n_sites = configs.shape[:2]
+    c = prior.support_bound
+    weighted = []
+    for i, term in enumerate(spec.terms):
+        size = n_cfg * n_sites ** (term.p * term.total_n)
+        if size > BUDGET:
+            raise BudgetError(
+                f"perturbation coefficients need {size} entries, over budget {BUDGET}"
+            )
+        k = np.stack([_perturbation_coefficients(term, config) for config in configs])
+        weighted.append((spec.term_weight(i, c), k))
+
+    def field(disorders: list[np.ndarray]) -> np.ndarray:
+        if len(disorders) != len(spec.terms):
+            raise ValidationError("one disorder tensor per term required")
+        total = np.zeros(n_cfg)
+        for (w, k), g in zip(weighted, disorders):
+            if g.size != k.shape[1]:
+                raise ValidationError(
+                    f"disorder tensor has {g.size} entries, expected {k.shape[1]}"
+                )
+            total += w * (k @ g)
+        return total
+
+    return field
+
+
 def perturbation_h(spec: PerturbationSpec, prior: SpinPrior, config,
                    disorders: list[np.ndarray]) -> float:
     """Weighted sum of the family's terms; zero for an empty family."""
-    if len(disorders) != len(spec.terms):
-        raise ValidationError("one disorder tensor per term required")
-    total = 0.0
-    c = prior.support_bound
-    for i, term in enumerate(spec.terms):
-        total += spec.term_weight(i, c) * perturbation_h_theta(term, config, disorders[i])
-    return total
+    config = _as_config(config)
+    return float(_perturbation_field(spec, prior, config[None])(disorders)[0])
 
 
 def perturbation_variance_check(spec: PerturbationSpec, prior: SpinPrior,
@@ -485,6 +518,29 @@ def _modified_configs(configs: np.ndarray, d: np.ndarray, eps: float) -> np.ndar
     return out
 
 
+def _pair_marginals(f_vals: np.ndarray, probs: np.ndarray) -> list[np.ndarray]:
+    """The (1, l) marginals of f_vals * p x ... x p for l = 2..n, in that order.
+
+    The weighted tuple tensor is never formed.  The replicas after l are
+    contracted from the last axis in, each step reusing the one before; those
+    between 1 and l meet one flattened weight p x ... x p; the marginal then
+    takes replica 1's and replica l's weights.  ``f_vals`` must be C-contiguous
+    so that every reshape here is a view.
+    """
+    n_cfg, n = probs.size, f_vals.ndim
+    between = [np.ones(1)]
+    for _ in range(n - 2):
+        between.append(np.multiply.outer(between[-1], probs).ravel())
+    pair = np.multiply.outer(probs, probs)
+    marginals = []
+    g = f_vals
+    for ell in range(n - 1, 0, -1):
+        marginals.append(pair * (between[ell - 1] @ g.reshape(n_cfg, -1, n_cfg)))
+        if ell > 1:
+            g = g @ probs
+    return marginals[::-1]
+
+
 def gg_discrepancy(model: MixedModel, prior: SpinPrior, spec: PerturbationSpec,
                    n_sites: int, d, eps: float, n_replicas: int, f,
                    term: PerturbationTerm, n_disorder: int, seed: int,
@@ -508,27 +564,30 @@ def gg_discrepancy(model: MixedModel, prior: SpinPrior, spec: PerturbationSpec,
     check_replications(n_disorder)
     d = np.asarray(d, dtype=float)
     configs, logw, _ = _constrained_configs(prior, n_sites, d, eps)
-    n_cfg = configs.shape[0]
-    if n_cfg**n_replicas * n_replicas**2 > BUDGET:
+    n_cfg, _, kappa = configs.shape
+    if n_cfg**n_replicas * (n_replicas * kappa) ** 2 > BUDGET:
         raise BudgetError(
-            f"{n_cfg}^{n_replicas} replica tuples exceed the budget; "
+            f"the overlaps of {n_cfg}^{n_replicas} replica tuples exceed the budget; "
             "reduce n_sites or n_replicas"
         )
     modified = _modified_configs(configs, d, eps)
+    field = _perturbation_field(spec, prior, modified)
     pair_overlap = np.einsum("aik,bil->abkl", modified, modified) / n_sites
     c_matrix = np.ones((n_cfg, n_cfg))
     rp = pair_overlap**term.p
     for n_j, lam in zip(term.ns, term.lambdas):
         c_matrix *= np.einsum("abkl,k,l->ab", rp, lam, lam) ** n_j
 
-    # f evaluated once on the full tuple grid (draw independent)
+    # f evaluated once on the full tuple grid (draw independent); the draws
+    # read only the contiguous f_vals, so the grid is freed before them
     shape = (n_cfg,) * n_replicas
     grid = np.indices(shape, sparse=True)
     rn = np.empty(shape + (n_replicas, n_replicas) + pair_overlap.shape[2:])
     for i, gi in enumerate(grid):
         for j, gj in enumerate(grid):
             rn[..., i, j, :, :] = pair_overlap[gi, gj]
-    f_vals = np.asarray(f(rn), dtype=float)
+    f_vals = np.ascontiguousarray(f(rn), dtype=float)
+    del rn
     if f_vals.shape != shape:
         raise ValidationError(
             f"functional must map the tuple grid to shape {shape}, got {f_vals.shape}"
@@ -539,30 +598,21 @@ def gg_discrepancy(model: MixedModel, prior: SpinPrior, spec: PerturbationSpec,
     def one(draw: int) -> list[float]:
         """(E<f C_{1,n+1}>, E<f>, E<C_{1,2}>, E<f C_{1,l}> for l = 2..n) of one draw."""
         dis = sample_disorder(model, n_sites, int(spawn_rng(seed, draw, 0).integers(2**63)))
-        h = hamiltonian_batch(model, configs, dis)
-        if spec.terms:
-            ds = [
-                sample_perturbation_disorder(
-                    t, n_sites, int(spawn_rng(seed, draw, 1 + i).integers(2**63))
-                )
-                for i, t in enumerate(spec.terms)
-            ]
-            h = h + s_n * np.array(
-                [perturbation_h(spec, prior, modified[i], ds) for i in range(n_cfg)]
+        ds = [
+            sample_perturbation_disorder(
+                t, n_sites, int(spawn_rng(seed, draw, 1 + i).integers(2**63))
             )
+            for i, t in enumerate(spec.terms)
+        ]
+        h = hamiltonian_batch(model, configs, dis) + s_n * field(ds)
         logits = logw + h
         probs = np.exp(logits - _logsumexp(logits))
-        # f weighted by the product Gibbs measure of the n replicas
-        fw = f_vals * probs[grid[0]]
-        for g in grid[1:]:
-            fw *= probs[g]
-        # the (1, l) marginals of fw; summing the (1, 2) one over replica 2
+        marginals = _pair_marginals(f_vals, probs)
+        # E<f> is the sum of the (1, 2) marginal; summing it over replica 2
         # leaves replica 1's, which meets the fresh replica n + 1 through C @ probs
-        marginals = [fw.sum(axis=tuple(k for k in range(1, n_replicas) if k != ell))
-                     for ell in range(1, n_replicas)]
         cbar = c_matrix @ probs
         t3 = [float(np.sum(m * c_matrix)) for m in marginals]
-        return [float(marginals[0].sum(axis=1) @ cbar), float(fw.sum()),
+        return [float(marginals[0].sum(axis=1) @ cbar), float(marginals[0].sum()),
                 float(probs @ c_matrix @ probs), *t3]
 
     rows = np.array(parallel_map(one, n_disorder, threads))  # (draws, n + 2)

@@ -265,6 +265,12 @@ class TestShippedConfigs:
             assert code == 0, command
             assert all(c["pass"] for c in report["checks"]), command
 
+    def test_gg_report_on_fe_small(self, capsys):
+        code, report = run(capsys, "gg", "--config", str(CONFIGS / "fe_small.yaml"))
+        assert code == 0
+        assert report["value"] == pytest.approx(0.09685511955603325, rel=1e-12, abs=0.0)
+        assert report["std_error"] == pytest.approx(5.068466124292983e-4, rel=1e-12, abs=0.0)
+
 
 class TestExitCodes:
     def test_missing_file(self, capsys):

@@ -26,7 +26,10 @@ from vecspin import (
     perturbation_h_theta,
     sample_disorder,
 )
+from vecspin import system
 from vecspin.system import (
+    _constrained_configs,
+    _modified_configs,
     enumerate_configs,
     hamiltonian_batch,
     perturbation_variance_check,
@@ -214,6 +217,16 @@ class TestPerturbation:
         with pytest.raises(ValidationError):
             PerturbationSpec(terms=(term,), u=(1.5,), strength_exponent=0.6)
 
+    def test_rejects_non_integral_degree_and_counts(self):
+        lam = np.array([[1.0]])
+        with pytest.raises(ValidationError):
+            PerturbationTerm(p=1.5, ns=(1,), lambdas=lam)
+        with pytest.raises(ValidationError):
+            PerturbationTerm(p=1, ns=(2.7,), lambdas=lam)
+        term = PerturbationTerm(p=2.0, ns=(np.int64(2),), lambdas=lam)
+        assert (term.p, term.ns) == (2, (2,))
+        assert type(term.p) is int and type(term.ns[0]) is int
+
 
 F_CONST = lambda rn: np.ones(rn.shape[:-4])
 F_ENTRY = lambda rn: rn[..., 0, 1, 0, 0]
@@ -284,6 +297,106 @@ class TestGGDiscrepancy:
         assert res.delta == pytest.approx(delta, abs=1e-14)
         assert res.std_error == 0.0
 
+    @pytest.mark.parametrize("f", [
+        lambda rn: (rn[..., 0, 1, 0, 0] + 2 * rn[..., 2, 3, 0, 0]
+                    + rn[..., 0, 2, 0, 0] ** 2 - 3 * rn[..., 1, 3, 0, 0] * rn[..., 0, 1, 0, 0]),
+        lambda rn: rn[..., 1, 3, 0, 0],
+    ], ids=["four-pairs", "strided-view"])
+    def test_four_replica_terms_match_tuple_sums(self, f):
+        # as at n = 3: the Gibbs measure is the prior, and C_{a,b} = R_ab
+        prior = SpinPrior.from_atoms([([1.0], 1.0), ([-1.0], 3.0)])
+        n_sites = 2
+        res = gg_discrepancy(MixedModel(1, {}), prior, PerturbationSpec(), n_sites,
+                             np.array([[1.0]]), 0.5, 4, f, ODD_TERM, 2, seed=28)
+        configs, logw = enumerate_configs(prior, n_sites)
+        probs = np.exp(logw) / np.exp(logw).sum()
+        r = configs[:, :, 0] @ configs[:, :, 0].T / n_sites
+        n_cfg = probs.size
+        # f on every 4-tuple, through an explicit (4, 4, 1, 1) overlap array each
+        f_tuple = {}
+        for t in itertools.product(range(n_cfg), repeat=4):
+            rn = np.array([[[[r[a, b]]] for b in t] for a in t])
+            f_tuple[t] = float(f(rn))
+
+        def gibbs(g, n):
+            return sum(np.prod(probs[list(t)]) * g(*t)
+                       for t in itertools.product(range(n_cfg), repeat=n))
+
+        def fr(*t):
+            return f_tuple[t]
+
+        t1 = gibbs(lambda a, b, c, e, x: fr(a, b, c, e) * r[a, x], 5)
+        f_mean = gibbs(fr, 4)
+        t3 = [gibbs(lambda *t, ell=ell: fr(*t) * r[t[0], t[ell]], 4) for ell in (1, 2, 3)]
+        comp = res.components
+        assert comp["t1"] == pytest.approx(t1, abs=1e-14)
+        assert comp["f_mean"] == pytest.approx(f_mean, abs=1e-14)
+        assert comp["c_mean"] == pytest.approx(gibbs(lambda a, b: r[a, b], 2), abs=1e-14)
+        assert comp["t3"] == pytest.approx(t3, abs=1e-14)
+        assert res.delta == pytest.approx(
+            abs(t1 - f_mean * comp["c_mean"] / 4 - sum(t3) / 4), abs=1e-14)
+
+    def test_active_perturbation_family_matches_reference(self):
+        # kappa = 2, unequal radii (so the modifier moves every configuration),
+        # and two perturbation terms, one with two directions; the family
+        # moves these values by about 1e-8 relative, far above the tolerance
+        model = MixedModel(2, {2: [0.7, 0.5], 4: [0.3, 0.2]})
+        prior = SpinPrior.from_atoms([([1.0, 0.9], 1.0), ([-1.0, 0.9], 2.0),
+                                      ([0.9, -1.0], 1.0), ([-0.7, -1.0], 3.0)])
+        spec = PerturbationSpec(
+            terms=(PerturbationTerm(p=1, ns=(1,), lambdas=np.array([[1.0, -0.5]])),
+                   PerturbationTerm(p=2, ns=(1, 2), lambdas=np.array([[0.5, 1.0],
+                                                                      [-1.0, 0.3]]))),
+            u=(2.0, 1.2))
+        d = np.array([[0.825, 0.0], [0.0, 0.905]])
+        n_sites, eps, n_draws, seed = 2, 0.4, 6, 29
+
+        def f(rn):
+            return (rn[..., 0, 1, 0, 0] + rn[..., -1, 1, 1, 0] ** 2
+                    + 0.3 * rn[..., 0, -1, 1, 1] * rn[..., 0, 1, 0, 1])
+
+        configs, _, _ = _constrained_configs(prior, n_sites, d, eps)
+        assert np.abs(_modified_configs(configs, d, eps) - configs).max() > 0.1
+        for n_replicas, term in itertools.product((2, 3), spec.terms):
+            res = gg_discrepancy(model, prior, spec, n_sites, d, eps, n_replicas, f,
+                                 term, n_draws, seed)
+            want = _reference_gg(model, prior, spec, n_sites, d, eps, n_replicas, f,
+                                 term, n_draws, seed)
+            comp = res.components
+            got = [res.delta, res.std_error, comp["t1"], comp["f_mean"],
+                   comp["c_mean"], *comp["t3"]]
+            assert len(got) == len(want)
+            assert min(abs(v) for v in want) > 1e-4
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    def test_budget_counts_the_whole_overlap_grid(self, monkeypatch):
+        # kappa = 2, 16 configurations, n = 2: 16^2 tuples of 2 x 2 replica
+        # pairs of 2 x 2 overlaps, 4096 entries
+        prior = SpinPrior.from_atoms([([1.0, 0.5], 1.0), ([-1.0, 0.5], 2.0),
+                                      ([0.6, -0.8], 1.0), ([-0.6, -0.8], 3.0)])
+        term = PerturbationTerm(p=1, ns=(1,), lambdas=np.array([[1.0, 1.0]]))
+        d = np.array([[0.68, 0.0], [0.0, 0.445]])
+        args = (MixedModel(2, {}), prior, PerturbationSpec(), 2, d, 0.51, 2, F_ENTRY,
+                term, 2)
+        monkeypatch.setattr(system, "BUDGET", 4095)
+        with pytest.raises(BudgetError):
+            gg_discrepancy(*args, seed=30)
+        monkeypatch.setattr(system, "BUDGET", 4096)
+        assert gg_discrepancy(*args, seed=30).components["n_configs"] == 16
+
+    def test_budget_counts_the_perturbation_coefficients(self, monkeypatch):
+        # 4 configurations and a term over 2^(2 * 3) coupling entries: a
+        # 4 x 64 coefficient matrix, larger than the 4^2 * 2^2 tuple grid
+        spec = PerturbationSpec(
+            terms=(PerturbationTerm(p=2, ns=(3,), lambdas=np.array([[1.0]])),), u=(1.5,))
+        args = (MixedModel(1, {}), COUNTING_ISING, spec, 2, np.array([[1.0]]), 0.5, 2,
+                F_ENTRY, ODD_TERM, 2)
+        monkeypatch.setattr(system, "BUDGET", 255)
+        with pytest.raises(BudgetError):
+            gg_discrepancy(*args, seed=31)
+        monkeypatch.setattr(system, "BUDGET", 256)
+        assert np.isfinite(gg_discrepancy(*args, seed=31).delta)
+
     def test_three_replicas_run(self):
         m = MixedModel(1, {2: [0.3]})
         res = gg_discrepancy(m, COUNTING_ISING, PerturbationSpec(), 3,
@@ -305,3 +418,56 @@ class TestGGDiscrepancy:
         res = gg_discrepancy(m, prior, PerturbationSpec(), 3, d, 0.9, 2,
                              F_ENTRY, ODD_TERM, 10, seed=26)
         assert np.isfinite(res.delta)
+
+
+def _reference_gg(model, prior, spec, n_sites, d, eps, n_replicas, f, term,
+                  n_disorder, seed):
+    """The identity's discrepancy computed the long way: the perturbation
+    field term by term for each configuration and draw, and the (1, l)
+    marginals summed out of the explicit weighted tuple tensor f * p x ... x p.
+
+    Returns [delta, s.e., t1, f_mean, c_mean, t3 for l = 2..n].
+    """
+    configs, logw, _ = _constrained_configs(prior, n_sites, d, eps)
+    modified = _modified_configs(configs, d, eps)
+    n_cfg = configs.shape[0]
+    pair = np.einsum("aik,bil->abkl", modified, modified) / n_sites
+    c_matrix = np.ones((n_cfg, n_cfg))
+    for n_j, lam in zip(term.ns, term.lambdas):
+        c_matrix *= np.einsum("abkl,k,l->ab", pair**term.p, lam, lam) ** n_j
+    grid = np.indices((n_cfg,) * n_replicas, sparse=True)
+    rn = np.empty((n_cfg,) * n_replicas + (n_replicas, n_replicas) + pair.shape[2:])
+    for i, gi in enumerate(grid):
+        for j, gj in enumerate(grid):
+            rn[..., i, j, :, :] = pair[gi, gj]
+    f_vals = np.asarray(f(rn), dtype=float)
+    s_n = spec.strength(n_sites)
+    rows = []
+    for draw in range(n_disorder):
+        dis = sample_disorder(model, n_sites, int(spawn_rng(seed, draw, 0).integers(2**63)))
+        ds = [sample_perturbation_disorder(t, n_sites,
+                                           int(spawn_rng(seed, draw, 1 + i).integers(2**63)))
+              for i, t in enumerate(spec.terms)]
+        field = np.zeros(n_cfg)
+        for c in range(n_cfg):
+            for i, t in enumerate(spec.terms):
+                field[c] += (spec.term_weight(i, prior.support_bound)
+                             * perturbation_h_theta(t, modified[c], ds[i]))
+        h = hamiltonian_batch(model, configs, dis) + s_n * field
+        logits = logw + h
+        probs = np.exp(logits - logits.max())
+        probs /= probs.sum()
+        fw = f_vals.copy()
+        for g in grid:
+            fw = fw * probs[g]
+        marginals = [fw.sum(axis=tuple(k for k in range(1, n_replicas) if k != ell))
+                     for ell in range(1, n_replicas)]
+        rows.append([marginals[0].sum(axis=1) @ (c_matrix @ probs), fw.sum(),
+                     probs @ c_matrix @ probs, *[np.sum(m * c_matrix) for m in marginals]])
+    rows = np.array(rows)
+    t1, af, bc, *t3 = rows.mean(axis=0)
+    n_inv = 1.0 / n_replicas
+    delta = abs(t1 - n_inv * af * bc - n_inv * sum(t3))
+    grad = np.array([1.0, -n_inv * bc, -n_inv * af] + [-n_inv] * len(t3))
+    se = float(np.std(rows @ grad, ddof=1)) / math.sqrt(n_disorder)
+    return [delta, se, t1, af, bc, *t3]
