@@ -30,20 +30,25 @@ one "trail" covariance C, integrated in closed form, since
 E exp(<sigma, z>) = exp(sigma^T C sigma / 2) moves into each atom's weight
 (``_quad_bonus``).  The plan also carries the matching theta-sum variances.
 
-Two evaluation backends are provided.  Quadrature tensorizes Gauss-Hermite
-nodes per plan level through a factor of its covariance and performs the
-recursion exactly (zero-variance directions are dropped).  Monte Carlo
-grows a sampling tree with fresh draws per node and reports a standard
-error across independent replications.  Both score field values with one
-bottom-layer kernel (``_bottom``, atom-major: atoms x points), which the
-cascade estimators in ``rpc`` share, and collapse levels with one fold.
+Two evaluation backends share one walk.  A level is a pair (offsets,
+log-weights), and ``offsets(parents)`` broadcasts to (parents, n, kappa).
+Quadrature gives every parent one tensor Gauss-Hermite grid, through a
+factor of the level's covariance (``_quad_levels``), and is exact.  Monte
+Carlo draws n fresh children of weight 1/n per parent when the walk asks
+(``_sampled_levels``) and reports a standard error across independent
+replications.  Levels of zero variance are dropped (there X_j = X_{j+1}).
+Points grow by ``_grow``, are scored by one atom-major bottom-layer kernel
+(``_bottom``) and collapse by one fold; the cascade estimators in ``rpc``
+share ``_grow``, ``_sampled_levels`` and ``_bottom``.
 
 ``MAX_ENTRIES`` bounds work: both backends raise ``BudgetError`` before
 allocating when points times the widest per-point array would exceed it.
-Memory is bounded by a block: quadrature walks its grid in blocks of at
-most ``BLOCK_ENTRIES`` entries and folds each block before the next, so
-only per-block arrays and one value per outer grid point are held.  The
-Monte Carlo tree is held whole.
+Memory is bounded by a block for both: the walk visits the grid or tree in
+blocks of at most ``BLOCK_ENTRIES`` entries and folds each block before the
+next, so only per-block arrays and one value per outer point are held.
+Monte Carlo draws follow the walk, the outer levels whole and then each
+block's inner levels, so splitting more than the innermost level over
+blocks changes the draws.
 
 Lambda coefficients are stored as a flat vector over the upper triangle in
 row-major order: (0,0), (0,1), ..., (0,kappa-1), (1,1), ...
@@ -78,8 +83,8 @@ X_NEAR_ONE = 1.0 - 1e-9
 #: per-point array (atoms, kappa, or lambda slots in the gradient).
 MAX_ENTRIES = 1 << 24
 
-#: Entries (points times that width) in one block of the tensor quadrature;
-#: it bounds the quadrature's memory.  A block's arrays then stay in cache:
+#: Entries (points times that width) in one block of the walk; it bounds
+#: the memory of both backends.  A block's arrays then stay in cache:
 #: 2^14 (128 KiB per float array) ran fastest in a sweep of 2^12..2^18.
 BLOCK_ENTRIES = 1 << 14
 
@@ -364,8 +369,8 @@ class EvalSpec:
     scalar dimension of each plan level; exact, std_error 0.  monte_carlo:
     ``samples_per_level`` child draws per node, ``replications`` independent
     trees for the standard error.  Either is refused beyond ``MAX_ENTRIES``,
-    a bound on work; quadrature memory is bounded by one block of
-    ``BLOCK_ENTRIES`` entries, Monte Carlo memory by the whole tree.
+    a bound on work; the memory of either is bounded by one block of
+    ``BLOCK_ENTRIES`` entries and one value per outer point.
     """
 
     backend: str = "quadrature"
@@ -398,6 +403,13 @@ class OptimizerSpec:
     outer_iters: int = 25
     seed: int = 0
 
+    def __post_init__(self):
+        for name, low in (("max_iter", 0), ("multistarts", 1), ("alternations", 0),
+                          ("path_steps", 1), ("outer_iters", 0)):
+            if getattr(self, name) < low:
+                raise ValidationError(
+                    f"optimize.{name} must be >= {low}, got {getattr(self, name)}")
+
 
 # ---------------------------------------------------------------------------
 # inner integral: the bottom layer
@@ -406,7 +418,8 @@ class OptimizerSpec:
 def _logsumexp(a: np.ndarray, axis: int = -1) -> np.ndarray:
     """log sum exp along ``axis``, with a max shift so large entries are safe."""
     m = a.max(axis=axis, keepdims=True)
-    return np.squeeze(m, axis) + np.log(np.exp(a - m).sum(axis=axis))
+    e = a - m
+    return np.squeeze(m, axis) + np.log(np.exp(e, out=e).sum(axis=axis))
 
 
 def _atom_base(prior: SpinPrior, lam, external_field=None, quad_bonus=None) -> np.ndarray:
@@ -429,11 +442,15 @@ def _bottom(points: np.ndarray, base: np.ndarray, z: np.ndarray, pair=None):
     ``pair`` (n_atoms, C) it also returns the per-point Gibbs averages of
     the pair products, (C, P), the bottom of the lambda gradient; else None.
     """
-    scores = points @ z.T + base[:, None]
+    # in place: with fewer (n_atoms, P) temporaries, a block's freed memory stays
+    # under the allocator's trim threshold, and the next block reuses it
+    scores = points @ z.T
+    scores += base[:, None]
     values = _logsumexp(scores, axis=0)
     if pair is None:
         return values, None
-    return values, pair.T @ np.exp(scores - values)
+    scores -= values
+    return values, pair.T @ np.exp(scores, out=scores)
 
 
 def eval_inner(prior: SpinPrior, lam, z_sum, external_field=None) -> float:
@@ -492,86 +509,100 @@ def _gh_nodes(n: int):
 
 
 def _quad_levels(factors, n_nodes):
-    """Per level: (offsets (n_i, kappa), log-weights (n_i,)) tensor grids."""
+    """Per level: (offsets, log-weights) of one tensor Gauss-Hermite grid
+    that every parent shares, so ``offsets`` ignores the parent count."""
     z1, w1 = _gh_nodes(n_nodes)
     logw1 = np.log(w1)
     levels = []
     for f in factors:
-        kappa, d = f.shape
-        if d == 0:
-            levels.append((np.zeros((1, kappa)), np.zeros(1)))
-            continue
+        d = f.shape[1]
         grids = np.meshgrid(*([z1] * d), indexing="ij")
         pts = np.stack([grid.ravel() for grid in grids], axis=1)
         wgrids = np.meshgrid(*([logw1] * d), indexing="ij")
         lw = np.sum([wg.ravel() for wg in wgrids], axis=0)
-        levels.append((pts @ f.T, lw))
+        levels.append((lambda parents, offs=pts @ f.T: offs, lw))
     return levels
 
 
+def _sampled_levels(factors, n, rng):
+    """Per level: (offsets, log-weights) of n fresh children per parent, each
+    of weight 1/n; ``offsets(parents)`` draws them from ``rng`` when called."""
+    logw = np.full(n, -math.log(n))
+
+    def offsets(parents, f):
+        u = rng.standard_normal((parents, n, f.shape[1]))
+        # a rank-1 factor only scales: BLAS is slow at inner dimension 1
+        return u * f[:, 0] if f.shape[1] == 1 else u @ f.T
+
+    return [(functools.partial(offsets, f=f), logw) for f in factors]
+
+
 def _grow(z, offsets):
-    """Every point of z plus every offset, row-major: (len(z) * n, kappa)."""
-    return (z[:, None, :] + offsets[None, :, :]).reshape(-1, z.shape[1])
+    """Every point of z plus each offset of its children, row-major: (len(z) * n, kappa)."""
+    return (z[:, None, :] + offsets(z.shape[0])).reshape(-1, z.shape[1])
 
 
-def _phi_quad(model, prior, lam, path, nodes, external_field=None, want_grad=False):
-    """The recursion by tensor Gauss-Hermite quadrature over the level plan.
+def _phi(model, prior, lam, path, spec: EvalSpec, external_field=None, want_grad=False):
+    """(value, std_error, lambda gradient or None) of the recursion.
 
-    The grid is walked in blocks of at most ``BLOCK_ENTRIES`` entries (or
-    of one innermost-level grid, when that alone is larger).  The plan's
-    levels split into an outer prefix and the longest inner suffix whose
-    points x width fit one block.  A block is a run of prefixes with their
-    whole suffix grids, in the row-major order of the full grid: it is
-    scored, reduced over atoms and folded over the suffix levels.  The
-    outer levels are folded last, over the per-prefix values.
+    Quadrature walks its grid once; Monte Carlo walks ``spec.replications``
+    sampling trees and averages their values and gradients.  A walk visits
+    its grid or tree in blocks of at most ``BLOCK_ENTRIES`` entries (or of
+    one innermost level, when that alone is larger).  The levels split into
+    an outer prefix and the longest inner suffix whose points x width fit
+    one block.  The prefix points are grown whole; a block is a run of them
+    with their whole suffix subtrees, in row-major order: it is grown,
+    scored, reduced over atoms and folded over the suffix levels.  The outer
+    levels are folded last, over the per-prefix values.  Monte Carlo draws
+    follow this order: the prefix levels whole, then each block's suffix
+    levels.
     """
     x_seq, factors, bonus = _plan_factors(model, prior, path)
+    # a level without variance has X_j = X_{j+1}: it is dropped
+    keep = [j for j, f in enumerate(factors) if f.shape[1]]
+    x_seq, factors = x_seq[keep], [factors[j] for j in keep]
     width = max(prior.n_atoms, path.kappa, lambda_size(path.kappa) if want_grad else 0)
-    _check_budget(nodes ** sum(f.shape[1] for f in factors), width, "quadrature grid")
-    levels = _quad_levels(factors, nodes)
+    if spec.is_quadrature:
+        points = spec.nodes_per_level ** sum(f.shape[1] for f in factors)
+    else:
+        points = spec.samples_per_level ** len(factors)
+    _check_budget(points, width, "quadrature grid" if spec.is_quadrature else "sampling tree")
     base = _atom_base(prior, lam, external_field, bonus)
     pair = _atom_pair_products(prior) if want_grad else None
-    cut = len(levels) - 1
-    inner = levels[cut][1].size
-    while cut > 0 and inner * levels[cut - 1][1].size * width <= BLOCK_ENTRIES:
-        cut -= 1
-        inner *= levels[cut][1].size
-    prefixes = np.zeros((1, path.kappa))
-    for offs, _ in levels[:cut]:
-        prefixes = _grow(prefixes, offs)
-    logws = [lw for _, lw in levels]
-    step = max(1, BLOCK_ENTRIES // (inner * width))
-    vals, grads = [], []
-    for start in range(0, prefixes.shape[0], step):
-        z = prefixes[start:start + step]
-        for offs, _ in levels[cut:]:
-            z = _grow(z, offs)
-        v, g = _bottom(prior.points, base, z, pair)
-        v, g = _fold(v, logws[cut:], x_seq[cut:], g)
-        vals.append(v)
-        grads.append(g)
-    v, g = _fold(np.concatenate(vals), logws[:cut], x_seq[:cut],
-                 np.concatenate(grads, axis=1) if want_grad else None)
-    if want_grad:
-        return float(v[0]), g[:, 0]
-    return float(v[0])
 
+    def walk(levels):
+        cut, inner = len(levels), 1
+        while cut > 0 and (cut == len(levels)
+                           or inner * levels[cut - 1][1].size * width <= BLOCK_ENTRIES):
+            cut -= 1
+            inner *= levels[cut][1].size
+        prefixes = np.zeros((1, path.kappa))
+        for offs, _ in levels[:cut]:
+            prefixes = _grow(prefixes, offs)
+        logws = [lw for _, lw in levels]
+        step = max(1, BLOCK_ENTRIES // (inner * width))
+        vals, grads = [], []
+        for start in range(0, prefixes.shape[0], step):
+            z = prefixes[start:start + step]
+            for offs, _ in levels[cut:]:
+                z = _grow(z, offs)
+            v, g = _bottom(prior.points, base, z, pair)
+            v, g = _fold(v, logws[cut:], x_seq[cut:], g)
+            vals.append(v)
+            grads.append(g)
+        v, g = _fold(np.concatenate(vals), logws[:cut], x_seq[:cut],
+                     np.concatenate(grads, axis=1) if want_grad else None)
+        return float(v[0]), (g[:, 0] if want_grad else None)
 
-def _mc_levels(factors, spec: EvalSpec, rng):
-    """Sampling-tree levels: fresh child draws per parent node."""
-    kappa = factors[0].shape[0]
-    z = np.zeros((1, kappa))
-    logws = []
-    s = spec.samples_per_level
-    for f in factors:
-        d = f.shape[1]
-        if d == 0:
-            logws.append(np.zeros(1))
-            continue
-        u = rng.standard_normal((z.shape[0], s, d))
-        z = (z[:, None, :] + u @ f.T).reshape(-1, kappa)
-        logws.append(np.full(s, -math.log(s)))
-    return z, logws
+    if spec.is_quadrature:
+        value, grad = walk(_quad_levels(factors, spec.nodes_per_level))
+        return value, 0.0, grad
+    trees = parallel_map(
+        lambda rep: walk(_sampled_levels(factors, spec.samples_per_level,
+                                         spawn_rng(spec.seed, rep))),
+        spec.replications, spec.threads)
+    value, se = mean_and_se([v for v, _ in trees])
+    return value, se, (np.mean([g for _, g in trees], axis=0) if want_grad else None)
 
 
 def eval_phi(model: MixedModel, prior: SpinPrior, lam, path: Path,
@@ -581,19 +612,7 @@ def eval_phi(model: MixedModel, prior: SpinPrior, lam, path: Path,
     Quadrature is exact up to node truncation and reports std_error 0.
     Monte Carlo averages ``spec.replications`` independent sampling trees.
     """
-    if spec.is_quadrature:
-        value = _phi_quad(model, prior, lam, path, spec.nodes_per_level, external_field)
-        return value, 0.0
-    x_seq, factors, bonus = _plan_factors(model, prior, path)
-    leaves = spec.samples_per_level ** sum(f.shape[1] > 0 for f in factors)
-    _check_budget(leaves, max(prior.n_atoms, path.kappa), "sampling tree")
-    base = _atom_base(prior, lam, external_field, bonus)
-
-    def one(rep: int) -> float:
-        z, logws = _mc_levels(factors, spec, spawn_rng(spec.seed, rep))
-        return float(_fold(_bottom(prior.points, base, z)[0], logws, x_seq)[0][0])
-
-    return mean_and_se(parallel_map(one, spec.replications, spec.threads))
+    return _phi(model, prior, lam, path, spec, external_field)[:2]
 
 
 def eval_phi_smoothed(model, prior, lam, path, spec: EvalSpec,
@@ -615,33 +634,21 @@ def eval_phi_smoothed(model, prior, lam, path, spec: EvalSpec,
     for lc in lam:
         shift += float(np.log(np.sum(w1 * np.exp(lc * math.sqrt(delta) * z1))))
     # the fold commutes with a constant, so the shift is added to its value
-    return _phi_quad(model, prior, lam, path, spec.nodes_per_level) + shift, 0.0
+    return _phi(model, prior, lam, path, spec)[0] + shift, 0.0
 
 
 def phi_grad_lambda(model, prior, lam, path, spec: EvalSpec,
                     external_field=None) -> tuple[float, np.ndarray]:
     """Value and gradient of the recursion in the lambda coefficients.
 
-    Quadrature differentiates through the recursion exactly (the bottom
-    gradient is the inner Gibbs average of sigma(k) sigma(k'); each fold
-    reweights by the normalized exp(x_j X_{j+1})).  Monte Carlo falls back
-    to central differences with step 1e-4 on a common seed.
+    Both backends differentiate through the recursion exactly: the bottom
+    gradient is the inner Gibbs average of sigma(k) sigma(k'), and each fold
+    reweights by the normalized exp(x_j X_{j+1}).  Monte Carlo returns the
+    exact gradient of its estimate for the draws of ``spec.seed``, averaged
+    over the replications.
     """
     lam = lambda_validate(lam, prior.kappa)
-    if spec.is_quadrature:
-        return _phi_quad(model, prior, lam, path, spec.nodes_per_level,
-                         external_field, want_grad=True)
-    h = 1e-4
-    value, _ = eval_phi(model, prior, lam, path, spec, external_field)
-    grad = np.zeros_like(lam)
-    for c in range(lam.size):
-        lp = lam.copy()
-        lp[c] += h
-        lm = lam.copy()
-        lm[c] -= h
-        vp, _ = eval_phi(model, prior, lp, path, spec, external_field)
-        vm, _ = eval_phi(model, prior, lm, path, spec, external_field)
-        grad[c] = (vp - vm) / (2.0 * h)
+    value, _, grad = _phi(model, prior, lam, path, spec, external_field, want_grad=True)
     return value, grad
 
 

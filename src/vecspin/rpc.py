@@ -16,7 +16,9 @@ fanout and 2*fanout to see it).
 Gaussian fields live on the same tree: each node at depth j carries an
 independent increment with the level-j covariance, and a leaf value is the
 sum along its path, which realizes covariances that depend on two leaves
-only through their common-ancestor depth.
+only through their common-ancestor depth.  They grow by the Monte Carlo
+node rule, ``parisi._grow`` over ``parisi._sampled_levels`` with the fanout
+as child count; the scalar field's levels have 1 x 1 factors sqrt(y_j).
 
 Boundary x values cannot be simulated directly, so the functional
 estimators read the level plan of ``parisi.level_plan`` (described in that
@@ -38,9 +40,11 @@ from .parisi import (
     _atom_base,
     _bottom,
     _check_budget,
+    _grow,
     _logsumexp,
     _plan_factors,
     _psd_factor,
+    _sampled_levels,
     increments,
     level_plan,
     theta_increments,
@@ -135,26 +139,9 @@ class TreeGaussianField:
     y: np.ndarray
 
 
-def _sample_tree_fields(fanout, z_factors, y_vars, rng):
-    """Leaf sums (z, y) of the per-depth Gaussian increments.
-
-    Either field may be None: it is then neither drawn nor returned (its
-    leaf sum is None), so a caller spends no draws on a field it discards.
-    At each depth the vector increments are drawn before the scalar ones.
-    """
-    depth = len(z_factors) if z_factors is not None else len(y_vars)
-    z = None if z_factors is None else np.zeros((1, z_factors[0].shape[0]))
-    y = None if y_vars is None else np.zeros(1)
-    nodes = 1
-    for j in range(depth):
-        nodes *= fanout
-        if z is not None:
-            inc_z = rng.standard_normal((nodes, z_factors[j].shape[1])) @ z_factors[j].T
-            z = np.repeat(z, fanout, axis=0) + inc_z
-        if y is not None:
-            inc_y = math.sqrt(y_vars[j]) * rng.standard_normal(nodes)
-            y = np.repeat(y, fanout) + inc_y
-    return z, y
+def _scalar_factors(variances) -> list[np.ndarray]:
+    """1 x 1 factors sqrt(v) of scalar level variances."""
+    return [np.array([[math.sqrt(v)]]) for v in variances]
 
 
 def sample_fields(tree: CascadeTree, model: MixedModel, path: Path,
@@ -167,10 +154,16 @@ def sample_fields(tree: CascadeTree, model: MixedModel, path: Path,
     if tree.depth != path.r:
         raise ValidationError("tree depth and path level count differ")
     rng = seed if isinstance(seed, np.random.Generator) else spawn_rng(int(seed))
-    z_factors = [_psd_factor(c) for c in increments(model, path)]
-    y_vars = theta_increments(model, path)
-    z, y = _sample_tree_fields(tree.fanout, z_factors, y_vars, rng)
-    return TreeGaussianField(tree, z, y)
+    z_levels = _sampled_levels([_psd_factor(c) for c in increments(model, path)],
+                               tree.fanout, rng)
+    y_levels = _sampled_levels(_scalar_factors(theta_increments(model, path)),
+                               tree.fanout, rng)
+    z, y = np.zeros((1, path.kappa)), np.zeros((1, 1))
+    # at each depth the vector increments are drawn before the scalar ones
+    for (z_offs, _), (y_offs, _) in zip(z_levels, y_levels):
+        z = _grow(z, z_offs)
+        y = _grow(y, y_offs)
+    return TreeGaussianField(tree, z, y[:, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -195,15 +188,11 @@ def simulate_phi(model: MixedModel, prior: SpinPrior, lam, path: Path,
     def one(rep: int) -> float:
         rng = spawn_rng(seed, rep)
         z0 = rng.standard_normal(lead_f.shape[1]) @ lead_f.T
-        if core_f:
-            tree = sample_cascade(x_seq[1:], fanout, rng)
-            z_leaf, _ = _sample_tree_fields(fanout, core_f, None, rng)
-            z = z0[None, :] + z_leaf
-            logw = tree.log_weights
-        else:
-            z = z0[None, :]
-            logw = np.zeros(1)
-        vals, _ = _bottom(prior.points, base, z)
+        logw = sample_cascade(x_seq[1:], fanout, rng).log_weights if core_f else np.zeros(1)
+        z = np.zeros((1, path.kappa))
+        for offs, _ in _sampled_levels(core_f, fanout, rng):
+            z = _grow(z, offs)
+        vals, _ = _bottom(prior.points, base, z0[None, :] + z)
         return float(_logsumexp(logw + vals))
 
     return mean_and_se(parallel_map(one, replications, threads))
@@ -236,8 +225,10 @@ def simulate_y_functional(model: MixedModel, path: Path, m_sites: int,
         y0 = math.sqrt(plan.y_lead) * rng.standard_normal() if plan.y_lead > 0 else 0.0
         if plan.x.size:
             tree = sample_cascade(plan.x, fanout, rng)
-            _, y_leaf = _sample_tree_fields(fanout, None, plan.y, rng)
-            inner = float(_logsumexp(tree.log_weights + root_m * y_leaf))
+            y = np.zeros((1, 1))
+            for offs, _ in _sampled_levels(_scalar_factors(plan.y), fanout, rng):
+                y = _grow(y, offs)
+            inner = float(_logsumexp(tree.log_weights + root_m * y[:, 0]))
         else:
             inner = 0.0
         return (root_m * y0 + inner) / m_sites + trail_term

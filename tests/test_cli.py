@@ -303,6 +303,19 @@ class TestExitCodes:
             bad = FE_CONFIG + f"  term_index: {index}\n"
             assert main(["gg", "--config", write(tmp_path, bad, "idx.yaml")]) == 3, index
 
+    @pytest.mark.parametrize("field,value", [
+        ("multistarts", 0), ("multistarts", -2), ("path_steps", 0), ("path_steps", -1),
+        ("alternations", -1), ("outer_iters", -1), ("max_iter", -1)])
+    def test_optimizer_budget_out_of_range(self, field, value, tmp_path, capsys):
+        # an atom at 0 makes the hull non-degenerate, so every budget is read
+        text = SK_CONFIG.replace("  atoms:\n", "  atoms:\n    - point: [0.0]\n      weight: 1.0\n")
+        budgets = {"multistarts": 1, "alternations": 1, "path_steps": 1, "outer_iters": 0,
+                   "max_iter": 1, field: value}
+        text += "optimize:\n" + "".join(f"  {k}: {v}\n" for k, v in budgets.items())
+        cfg = write(tmp_path, text, "bad.yaml")
+        assert main(["optimize", "--config", cfg]) == 3
+        assert f"optimize.{field}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("key", sorted(MALFORMED))
     def test_malformed_value(self, key, tmp_path, capsys):
         command, text, old, new, extra = MALFORMED[key]

@@ -66,7 +66,7 @@ def whole_grid(model, prior, lam, path, nodes, field=None, extra=0.0):
     z, lws = np.zeros((1, prior.kappa)), []
     for f in factors:
         d = f.shape[1]
-        offs = np.array(list(itertools.product(z1, repeat=d))).reshape(-1, d) @ f.T
+        offs = np.array(list(itertools.product(z1, repeat=d))).reshape(nodes ** d, d) @ f.T
         z = (z[:, None, :] + offs[None, :, :]).reshape(-1, prior.kappa)
         lws.append(np.array([sum(t) for t in itertools.product(np.log(w1), repeat=d)]))
     iu = np.triu_indices(prior.kappa)
@@ -266,15 +266,22 @@ class TestEvalPhi:
 
     def test_blocks_match_whole_grid(self):
         rng = spawn_rng(27)
-        for kappa, nodes in ((1, 16), (1, 16), (2, 8), (2, 8), (3, 5), (3, 5)):
+        cases = ((1, 16), (1, 16), (2, 8), (2, 8), (3, 5), (3, 5), (2, 8, "repeat"))
+        for kappa, nodes, *repeat in cases:
             m = random_model(rng, kappa)
             prior = random_prior(rng, kappa, n_atoms=10)
             lam = random_lambda(rng, kappa)
             field = rng.uniform(-0.5, 0.5, size=kappa)
             a, b = np.sort(rng.uniform(0.1, 0.9, size=2))
-            # lead x = 0 levels, merged interior levels, an x = 1 trail
-            x = [0.0, 0.0, a, a, b, 1.0] if kappa == 1 else [0.0, a, a, 1.0]
-            path = Path(x, random_monotone_gammas(rng, kappa, len(x)))
+            if repeat:
+                # a repeated gamma: the level at x = b has zero variance
+                x = [0.0, a, b, 1.0]
+                g = random_monotone_gammas(rng, kappa, 3)
+                path = Path(x, g[[0, 1, 1, 2]])
+            else:
+                # lead x = 0 levels, merged interior levels, an x = 1 trail
+                x = [0.0, 0.0, a, a, b, 1.0] if kappa == 1 else [0.0, a, a, 1.0]
+                path = Path(x, random_monotone_gammas(rng, kappa, len(x)))
             spec = EvalSpec(nodes_per_level=nodes)
             v, g, points = whole_grid(m, prior, lam, path, nodes)
             assert points * prior.n_atoms > 2 * BLOCK_ENTRIES
@@ -306,6 +313,32 @@ class TestEvalPhi:
             peak = tracemalloc.get_traced_memory()[1]
             tracemalloc.stop()
             assert peak < 16 << 20
+
+    def test_monte_carlo_memory_is_one_block(self, monkeypatch):
+        import tracemalloc
+
+        # 2048^2 = 4,194,304 leaves; the whole tree's scores alone are 64 MiB
+        path = Path([0.3, 0.7], [[[0.5]], [[1.0]]])
+        spec = EvalSpec(backend="monte_carlo", samples_per_level=2048, replications=1)
+        for fn in (eval_phi, phi_grad_lambda):
+            tracemalloc.start()
+            fn(SK_HALF, COUNTING_ISING, lambda_zero(1), path, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+            assert peak < 16 << 20
+        # two sampled levels, the inner one split over blocks: the same draws
+        rng = spawn_rng(28)
+        m = random_model(rng, 2)
+        prior = random_prior(rng, 2, n_atoms=4)
+        path = random_path(rng, 2, 2)
+        lam = random_lambda(rng, 2)
+        spec = EvalSpec(backend="monte_carlo", samples_per_level=64, replications=3, seed=5)
+        whole = eval_phi(m, prior, lam, path, spec), phi_grad_lambda(m, prior, lam, path, spec)
+        monkeypatch.setattr("vecspin.parisi.BLOCK_ENTRIES", 64 * 4 * 2)
+        split = eval_phi(m, prior, lam, path, spec), phi_grad_lambda(m, prior, lam, path, spec)
+        assert whole[0] == split[0]
+        assert whole[1][0] == split[1][0]
+        np.testing.assert_array_equal(whole[1][1], split[1][1])
 
     def test_mc_determinism_across_threads(self):
         spec1 = EvalSpec(backend="monte_carlo", samples_per_level=64,
@@ -394,6 +427,8 @@ class TestSmoothing:
 
 class TestGradient:
     def test_exact_vs_central_differences(self):
+        # a fixed seed fixes the Monte Carlo draws, so its estimate is smooth in lambda
+        mc = EvalSpec(backend="monte_carlo", samples_per_level=64, replications=4, seed=33)
         rng = spawn_rng(33)
         for _ in range(5):
             kappa = int(rng.integers(1, 3))
@@ -401,15 +436,16 @@ class TestGradient:
             prior = random_prior(rng, kappa)
             path = random_path(rng, kappa, int(rng.integers(1, 3)))
             lam = random_lambda(rng, kappa)
-            _, grad = phi_grad_lambda(m, prior, lam, path, QUAD)
-            h = 1e-5
-            for c in range(lam.size):
-                lp, lm = lam.copy(), lam.copy()
-                lp[c] += h
-                lm[c] -= h
-                vp, _ = eval_phi(m, prior, lp, path, QUAD)
-                vm, _ = eval_phi(m, prior, lm, path, QUAD)
-                assert grad[c] == pytest.approx((vp - vm) / (2 * h), abs=1e-6)
+            for spec in (QUAD, mc):
+                _, grad = phi_grad_lambda(m, prior, lam, path, spec)
+                h = 1e-5
+                for c in range(lam.size):
+                    lp, lm = lam.copy(), lam.copy()
+                    lp[c] += h
+                    lm[c] -= h
+                    vp, _ = eval_phi(m, prior, lp, path, spec)
+                    vm, _ = eval_phi(m, prior, lm, path, spec)
+                    assert grad[c] == pytest.approx((vp - vm) / (2 * h), abs=1e-6)
 
 
 class TestPathDistance:
@@ -534,6 +570,14 @@ class TestOptimize:
         assert res.value == pytest.approx(rs, abs=5e-3)
         assert set(res.ordering_values) == {"lambda_first", "path_first"}
         assert res.to_dict()["stop_reason"] == "degenerate_hull"
+
+    def test_budgets_out_of_range(self):
+        for field, value in (("multistarts", 0), ("multistarts", -2), ("path_steps", 0),
+                             ("path_steps", -1), ("alternations", -1), ("outer_iters", -1),
+                             ("max_iter", -1)):
+            with pytest.raises(ValidationError, match=f"optimize.{field}"):
+                OptimizerSpec(**{field: value})
+        OptimizerSpec(max_iter=0, multistarts=1, alternations=0, path_steps=1, outer_iters=0)
 
     def test_outer_budget_is_not_convergence(self):
         prior = SpinPrior.from_atoms([([1.0], 0.4), ([-1.0], 0.4), ([0.0], 0.2)])
