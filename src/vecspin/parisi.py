@@ -31,15 +31,18 @@ E exp(<sigma, z>) = exp(sigma^T C sigma / 2) moves into each atom's weight
 (``_quad_bonus``).  The plan also carries the matching theta-sum variances.
 
 Two evaluation backends share one walk.  A level is a pair (offsets,
-log-weights), and ``offsets(parents)`` broadcasts to (parents, n, kappa).
+log-weights), and ``offsets(parents)`` broadcasts to (n, parents, kappa).
 Quadrature gives every parent one tensor Gauss-Hermite grid, through a
 factor of the level's covariance (``_quad_levels``), and is exact.  Monte
 Carlo draws n fresh children of weight 1/n per parent when the walk asks
 (``_sampled_levels``) and reports a standard error across independent
 replications.  Levels of zero variance are dropped (there X_j = X_{j+1}).
-Points grow by ``_grow``, are scored by one atom-major bottom-layer kernel
-(``_bottom``) and collapse by one fold; the cascade estimators in ``rpc``
-share ``_grow``, ``_sampled_levels`` and ``_bottom``.
+Points grow by ``_grow``, node-major: child c of parent p is point
+c * parents + p, so the innermost level's child index runs slowest.  They
+are scored by one atom-major bottom-layer kernel (``_bottom``) and collapse
+by one fold, which reduces each level as the leading axis of a contiguous
+(n, rest) view (``_fold``); the cascade estimators in ``rpc`` share
+``_grow``, ``_sampled_levels`` and ``_bottom``.
 
 ``MAX_ENTRIES`` bounds work: both backends raise ``BudgetError`` before
 allocating when points times the widest per-point array would exceed it.
@@ -47,8 +50,9 @@ Memory is bounded by a block for both: the walk visits the grid or tree in
 blocks of at most ``BLOCK_ENTRIES`` entries and folds each block before the
 next, so only per-block arrays and one value per outer point are held.
 Monte Carlo draws follow the walk, the outer levels whole and then each
-block's inner levels, so splitting more than the innermost level over
-blocks changes the draws.
+block's inner levels, each level parent by parent in the node-major order
+of its parents; so splitting more than the innermost level over blocks
+changes the draws.
 
 Lambda coefficients are stored as a flat vector over the upper triangle in
 row-major order: (0,0), (0,1), ..., (0,kappa-1), (1,1), ...
@@ -84,8 +88,9 @@ X_NEAR_ONE = 1.0 - 1e-9
 MAX_ENTRIES = 1 << 24
 
 #: Entries (points times that width) in one block of the walk; it bounds
-#: the memory of both backends.  A block's arrays then stay in cache:
-#: 2^14 (128 KiB per float array) ran fastest in a sweep of 2^12..2^18.
+#: the memory of both backends.  A block's arrays then stay in cache at
+#: 128 KiB per float array; in sweeps of 2^12..2^18, 2^14..2^16 ran close
+#: and no size was fastest in every round.
 BLOCK_ENTRIES = 1 << 14
 
 #: The lambda descent of ``phi_star`` stops once max |gradient| falls to this.
@@ -386,6 +391,8 @@ class EvalSpec:
         if self.nodes_per_level < 1 or self.samples_per_level < 1:
             raise ValidationError("node and sample counts must be positive")
         check_replications(self.replications)
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
 
     @property
     def is_quadrature(self) -> bool:
@@ -440,17 +447,18 @@ def _bottom(points: np.ndarray, base: np.ndarray, z: np.ndarray, pair=None):
     Scores <sigma, z> + base form an (n_atoms, P) array that is reduced
     along axis 0 into the per-point log of the weighted atom sum.  With
     ``pair`` (n_atoms, C) it also returns the per-point Gibbs averages of
-    the pair products, (C, P), the bottom of the lambda gradient; else None.
+    the pair products, (P, C), the bottom of the lambda gradient; else None.
     """
     # in place: with fewer (n_atoms, P) temporaries, a block's freed memory stays
-    # under the allocator's trim threshold, and the next block reuses it
-    scores = points @ z.T
+    # under the allocator's trim threshold, and the next block reuses it;
+    # a kappa = 1 field only scales: BLAS is slow at inner dimension 1
+    scores = points * z[:, 0] if z.shape[1] == 1 else points @ z.T
     scores += base[:, None]
     values = _logsumexp(scores, axis=0)
     if pair is None:
         return values, None
     scores -= values
-    return values, pair.T @ np.exp(scores, out=scores)
+    return values, np.exp(scores, out=scores).T @ pair
 
 
 def eval_inner(prior: SpinPrior, lam, z_sum, external_field=None) -> float:
@@ -467,32 +475,36 @@ def eval_inner(prior: SpinPrior, lam, z_sum, external_field=None) -> float:
 
 
 def _fold(values, level_logw, x_seq, grads=None):
-    """Collapse the trailing level axes of a grid, innermost first.
+    """Collapse the innermost levels of a grid, innermost first.
 
-    ``values`` has one entry per grid point, levels laid out row-major
-    (outermost first), and ``level_logw`` / ``x_seq`` describe its trailing
-    levels; any leading axes stay.  Level i is folded with x_seq[i]; the
-    x = 0 branch is a plain weighted mean.  Gradients ``grads`` (C, points),
-    if given, fold with the normalized exp(x X) reweighting of the same
-    levels.  Returns (values, grads) over the remaining leading points.
+    ``values`` has one entry per grid point, laid out node-major (the
+    innermost level's child index slowest, as ``_grow`` lays it out), and
+    ``level_logw`` / ``x_seq`` describe its innermost levels; the index of
+    the points outside them runs fastest and stays.  So each level is the
+    leading axis of a contiguous (n, rest) view, and the fold reduces it.
+    Level i is folded with x_seq[i]; the x = 0 branch is a plain weighted
+    mean.  Gradients ``grads`` (points, C), if given, fold with the
+    normalized exp(x X) reweighting of the same levels.  Returns (values,
+    grads) over the remaining outer points.
     """
     v = values
     g = grads
     for lw, x in zip(reversed(level_logw), reversed(x_seq)):
         n = lw.size
-        v = v.reshape(-1, n)
+        v = v.reshape(n, -1)
         if g is not None:
-            g = g.reshape(g.shape[0], v.shape[0], n)
+            g = g.reshape(n, v.shape[1], -1)
         if x < X_TINY:
             w = np.exp(lw)
             if g is not None:
-                g = g @ w
-            v = v @ w
+                g = np.tensordot(w, g, 1)
+            v = w @ v
         else:
-            a = x * v + lw
-            ls = _logsumexp(a)
+            a = x * v + lw[:, None]
+            ls = _logsumexp(a, axis=0)
             if g is not None:
-                g = np.einsum("pn,cpn->cp", np.exp(a - ls[:, None]), g)
+                a -= ls
+                g = np.einsum("nr,nrc->rc", np.exp(a, out=a), g)
             v = ls / x
     return v, g
 
@@ -510,7 +522,8 @@ def _gh_nodes(n: int):
 
 def _quad_levels(factors, n_nodes):
     """Per level: (offsets, log-weights) of one tensor Gauss-Hermite grid
-    that every parent shares, so ``offsets`` ignores the parent count."""
+    that every parent shares, so ``offsets`` ignores the parent count and
+    returns (n, 1, kappa)."""
     z1, w1 = _gh_nodes(n_nodes)
     logw1 = np.log(w1)
     levels = []
@@ -520,26 +533,31 @@ def _quad_levels(factors, n_nodes):
         pts = np.stack([grid.ravel() for grid in grids], axis=1)
         wgrids = np.meshgrid(*([logw1] * d), indexing="ij")
         lw = np.sum([wg.ravel() for wg in wgrids], axis=0)
-        levels.append((lambda parents, offs=pts @ f.T: offs, lw))
+        levels.append((lambda parents, offs=(pts @ f.T)[:, None, :]: offs, lw))
     return levels
 
 
 def _sampled_levels(factors, n, rng):
     """Per level: (offsets, log-weights) of n fresh children per parent, each
-    of weight 1/n; ``offsets(parents)`` draws them from ``rng`` when called."""
+    of weight 1/n; ``offsets(parents)`` draws them from ``rng`` when called,
+    parent-major as (parents, n, d), and returns a child-major view, (n,
+    parents, kappa)."""
     logw = np.full(n, -math.log(n))
 
     def offsets(parents, f):
         u = rng.standard_normal((parents, n, f.shape[1]))
         # a rank-1 factor only scales: BLAS is slow at inner dimension 1
-        return u * f[:, 0] if f.shape[1] == 1 else u @ f.T
+        return (u * f[:, 0] if f.shape[1] == 1 else u @ f.T).swapaxes(0, 1)
 
     return [(functools.partial(offsets, f=f), logw) for f in factors]
 
 
 def _grow(z, offsets):
-    """Every point of z plus each offset of its children, row-major: (len(z) * n, kappa)."""
-    return (z[:, None, :] + offsets(z.shape[0])).reshape(-1, z.shape[1])
+    """Every point of z plus each offset of its children, node-major: point
+    c * len(z) + p is child c of parent p, (n * len(z), kappa)."""
+    # C order: sampled offsets are a transposed view, and reshaping a
+    # transposed sum would copy it far more slowly
+    return np.add(offsets(z.shape[0]), z, order="C").reshape(-1, z.shape[1])
 
 
 def _phi(model, prior, lam, path, spec: EvalSpec, external_field=None, want_grad=False):
@@ -551,11 +569,12 @@ def _phi(model, prior, lam, path, spec: EvalSpec, external_field=None, want_grad
     one innermost level, when that alone is larger).  The levels split into
     an outer prefix and the longest inner suffix whose points x width fit
     one block.  The prefix points are grown whole; a block is a run of them
-    with their whole suffix subtrees, in row-major order: it is grown,
+    with their whole suffix subtrees, in node-major order: it is grown,
     scored, reduced over atoms and folded over the suffix levels.  The outer
-    levels are folded last, over the per-prefix values.  Monte Carlo draws
-    follow this order: the prefix levels whole, then each block's suffix
-    levels.
+    levels are folded last, over the per-prefix values, which keep the
+    prefixes' node-major order.  Monte Carlo draws follow this order: the
+    prefix levels whole, then each block's suffix levels; a level draws one
+    row of n children per parent, the parents in node-major order.
     """
     x_seq, factors, bonus = _plan_factors(model, prior, path)
     # a level without variance has X_j = X_{j+1}: it is dropped
@@ -591,8 +610,8 @@ def _phi(model, prior, lam, path, spec: EvalSpec, external_field=None, want_grad
             vals.append(v)
             grads.append(g)
         v, g = _fold(np.concatenate(vals), logws[:cut], x_seq[:cut],
-                     np.concatenate(grads, axis=1) if want_grad else None)
-        return float(v[0]), (g[:, 0] if want_grad else None)
+                     np.concatenate(grads) if want_grad else None)
+        return float(v[0]), (g[0] if want_grad else None)
 
     if spec.is_quadrature:
         value, grad = walk(_quad_levels(factors, spec.nodes_per_level))

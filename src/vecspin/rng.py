@@ -21,7 +21,9 @@ from .errors import ValidationError
 
 
 def spawn_rng(seed: int, *path: int) -> np.random.Generator:
-    """Generator for sub-task ``path`` of the run seeded by ``seed``."""
+    """Generator for sub-task ``path`` of the run seeded by ``seed`` (>= 0)."""
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=tuple(path)))
 
 

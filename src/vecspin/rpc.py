@@ -19,6 +19,9 @@ sum along its path, which realizes covariances that depend on two leaves
 only through their common-ancestor depth.  They grow by the Monte Carlo
 node rule, ``parisi._grow`` over ``parisi._sampled_levels`` with the fanout
 as child count; the scalar field's levels have 1 x 1 factors sqrt(y_j).
+Weights and fields share ``_grow``'s node-major leaf order: the root's
+child index runs fastest and the deepest child index slowest
+(``CascadeTree.leaf_coordinates``).
 
 Boundary x values cannot be simulated directly, so the functional
 estimators read the level plan of ``parisi.level_plan`` (described in that
@@ -55,7 +58,12 @@ from .rng import check_replications, mean_and_se, parallel_map, spawn_rng
 
 @dataclass(frozen=True)
 class CascadeTree:
-    """Truncated weight hierarchy for a strictly interior x sequence."""
+    """Truncated weight hierarchy for a strictly interior x sequence.
+
+    Leaves are laid out node-major, as ``parisi._grow`` lays out points:
+    leaf c_1 + fanout * (c_2 + fanout * (...)) is child c_r of ... of child
+    c_1 of the root, so the deepest child index runs slowest.
+    """
 
     x: np.ndarray
     fanout: int
@@ -74,12 +82,13 @@ class CascadeTree:
         return np.exp(self.log_weights)
 
     def leaf_coordinates(self, leaf: int) -> tuple[int, ...]:
-        """Digits of the leaf index, one child index per depth."""
+        """Child index at each depth, root first: the base-fanout digits of
+        the leaf index, least significant first."""
         digits = []
         for _ in range(self.depth):
             leaf, d = divmod(leaf, self.fanout)
             digits.append(d)
-        return tuple(reversed(digits))
+        return tuple(digits)
 
 
 def ancestor_depth(alpha1, alpha2) -> int:
@@ -122,7 +131,8 @@ def sample_cascade(x, fanout: int, seed) -> CascadeTree:
         parents = logw.size
         arrivals = rng.exponential(size=(parents, fanout)).cumsum(axis=1)
         child_log = -np.log(arrivals) / zeta
-        logw = (logw[:, None] + child_log).reshape(-1)
+        # node-major and in C order, as ``parisi._grow`` grows the fields
+        logw = np.add(child_log.T, logw, order="C").reshape(-1)
     logw = logw - _logsumexp(logw)
     return CascadeTree(x, int(fanout), logw)
 

@@ -29,6 +29,9 @@ from vecspin import (
 )
 from vecspin.parisi import (
     BLOCK_ENTRIES,
+    _atom_base,
+    _bottom,
+    _logsumexp,
     _plan_factors,
     increments,
     lambda_pairing,
@@ -264,7 +267,7 @@ class TestEvalPhi:
             tracemalloc.stop()
             assert peak < 1 << 20
 
-    def test_blocks_match_whole_grid(self):
+    def test_blocks_match_whole_grid(self, monkeypatch):
         rng = spawn_rng(27)
         cases = ((1, 16), (1, 16), (2, 8), (2, 8), (3, 5), (3, 5), (2, 8, "repeat"))
         for kappa, nodes, *repeat in cases:
@@ -297,6 +300,27 @@ class TestEvalPhi:
             want = whole_grid(m, prior, lam, path, nodes, field=field)[0]
             got = eval_phi(m, prior, lam, path, spec, external_field=field)[0]
             assert got == pytest.approx(want, abs=1e-13)
+        # node-major prefixes: kappa = 1, 2 atoms, 5 distinct interior levels
+        # at 8 nodes (32,768 points).  At BLOCK_ENTRIES one level is a prefix
+        # level; at 2^11 entries two are, and a block holds 2 of 64 prefixes.
+        m = random_model(rng, 1)
+        prior = random_prior(rng, 1, n_atoms=2)
+        lam = random_lambda(rng, 1)
+        path = random_path(rng, 1, 5, x_lo=0.05, x_hi=0.95)
+        spec = EvalSpec(nodes_per_level=8)
+        v, g, points = whole_grid(m, prior, lam, path, 8)
+        assert points == 8 ** 5
+        for block in (BLOCK_ENTRIES, 1 << 11):
+            monkeypatch.setattr("vecspin.parisi.BLOCK_ENTRIES", block)
+            assert eval_phi(m, prior, lam, path, spec)[0] == pytest.approx(v, abs=1e-13)
+            gv, gg = phi_grad_lambda(m, prior, lam, path, spec)
+            assert gv == pytest.approx(v, abs=1e-13)
+            np.testing.assert_allclose(gg, g, rtol=0, atol=1e-13)
+        # kappa = 1 scores skip BLAS, with the same numbers as the product
+        z = rng.normal(0.0, 2.0, size=(1000, 1))
+        base = _atom_base(prior, lam)
+        want = _logsumexp(prior.points @ z.T + base[:, None], axis=0)
+        assert np.array_equal(_bottom(prior.points, base, z)[0], want)
 
     def test_quadrature_memory_is_one_block(self):
         import tracemalloc
@@ -339,6 +363,12 @@ class TestEvalPhi:
         assert whole[0] == split[0]
         assert whole[1][0] == split[1][0]
         np.testing.assert_array_equal(whole[1][1], split[1][1])
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValidationError, match="seed"):
+            EvalSpec(backend="monte_carlo", seed=-1)
+        with pytest.raises(ValidationError, match="seed"):
+            spawn_rng(-1, 0)
 
     def test_mc_determinism_across_threads(self):
         spec1 = EvalSpec(backend="monte_carlo", samples_per_level=64,

@@ -64,7 +64,8 @@ class TestCascade:
     def test_leaf_coordinates(self):
         tree = sample_cascade([0.3, 0.6], 3, seed=2)
         assert tree.leaf_coordinates(0) == (0, 0)
-        assert tree.leaf_coordinates(5) == (1, 2)
+        # node-major: leaf 5 = 2 + 3 * 1 is child 1 of the root's child 2
+        assert tree.leaf_coordinates(5) == (2, 1)
 
 
 class TestAncestorDepth:
@@ -94,14 +95,17 @@ class TestFields:
             f = sample_fields(tree, m, path, spawn_rng(6, rep))
             z[rep] = f.z[:, 0]
             y[rep] = f.y
-        # leaves 0 and 1 share depth 1; leaf 0 with itself shares depth 2
+        # a leaf sharing depth 1 with leaf 0 and one sharing only the root
+        shared = {ancestor_depth(tree.leaf_coordinates(0), tree.leaf_coordinates(a)): a
+                  for a in range(tree.n_leaves)}
+        sib, far = shared[1], shared[0]
         xi_p = lambda t: 2 * 0.25 * t
         theta_sum = lambda t: 0.25 * t**2
         checks = [
-            (np.mean(z[:, 0] * z[:, 1]), xi_p(0.4)),
+            (np.mean(z[:, 0] * z[:, sib]), xi_p(0.4)),
             (np.mean(z[:, 0] * z[:, 0]), xi_p(1.0)),
-            (np.mean(z[:, 0] * z[:, 3]), 0.0),
-            (np.mean(y[:, 0] * y[:, 1]), theta_sum(0.4)),
+            (np.mean(z[:, 0] * z[:, far]), 0.0),
+            (np.mean(y[:, 0] * y[:, sib]), theta_sum(0.4)),
             (np.mean(y[:, 0] * y[:, 0]), theta_sum(1.0)),
         ]
         for got, want in checks:
@@ -155,6 +159,16 @@ class TestSimulatePhi:
         vsim, se = simulate_phi(m, COUNTING_ISING, lambda_zero(1), path,
                                 fanout=128, replications=400, seed=8)
         assert abs(vsim - vq) <= 3.0 * se
+
+    def test_negative_seed_rejected(self):
+        path = Path([0.5], [[[1.0]]])
+        with pytest.raises(ValidationError, match="seed"):
+            simulate_phi(SK_HALF, COUNTING_ISING, lambda_zero(1), path,
+                         fanout=4, replications=2, seed=-1)
+        with pytest.raises(ValidationError, match="seed"):
+            simulate_y_functional(SK_HALF, path, 4, fanout=4, replications=2, seed=-1)
+        with pytest.raises(ValidationError, match="seed"):
+            sample_cascade([0.5], 4, seed=-1)
 
     def test_threads_do_not_change_values(self):
         path = Path([0.5], [[[1.0]]])
