@@ -31,28 +31,39 @@ E exp(<sigma, z>) = exp(sigma^T C sigma / 2) moves into each atom's weight
 (``_quad_bonus``).  The plan also carries the matching theta-sum variances.
 
 Two evaluation backends share one walk.  A level is a pair (offsets,
-log-weights), and ``offsets(parents)`` broadcasts to (n, parents, kappa).
-Quadrature gives every parent one tensor Gauss-Hermite grid, through a
-factor of the level's covariance (``_quad_levels``), and is exact.  Monte
-Carlo draws n fresh children of weight 1/n per parent when the walk asks
-(``_sampled_levels``) and reports a standard error across independent
-replications.  Levels of zero variance are dropped (there X_j = X_{j+1}).
-Points grow by ``_grow``, node-major: child c of parent p is point
-c * parents + p, so the innermost level's child index runs slowest.  They
-are scored by one atom-major bottom-layer kernel (``_bottom``) and collapse
-by one fold, which reduces each level as the leading axis of a contiguous
-(n, rest) view (``_fold``); the cascade estimators in ``rpc`` share
-``_grow``, ``_sampled_levels`` and ``_bottom``.
+log-weights).  Quadrature gives every parent one tensor Gauss-Hermite
+grid, through a factor of the level's covariance (``_quad_levels``), so
+its offsets are one (n, 1, kappa) array, and it is exact.  Monte Carlo
+draws n fresh children of weight 1/n per parent when the walk asks
+(``_sampled_levels``), so its offsets are a callable, ``offsets(parents)``
+of shape (n, parents, kappa), and it reports a standard error across
+independent replications.  Levels of zero variance are dropped (there
+X_j = X_{j+1}).  Points grow by ``_grow``, node-major: child c of parent p
+is point c * parents + p, so the innermost level's child index runs
+slowest.  They are scored by one atom-major bottom-layer kernel
+(``_bottom``) and collapse by one fold, which reduces each level as the
+leading axis of a contiguous (n, rest) view (``_fold``); the cascade
+estimators in ``rpc`` share ``_grow``, ``_sampled_levels`` and ``_bottom``.
+
+The innermost level of a quadrature grid is not grown.  The field enters
+the integrand linearly, so the score of atom a at child c of parent q
+splits as A[a, q] + B[a, c], with B from the offsets that every parent
+shares; the atom sums of a block's children are then one matrix product
+exp(B)^T exp(A) of inner dimension n_atoms (``_bottom_separable``), with
+exp(B) computed once per walk.  Sampled levels give every parent other
+offsets, so Monte Carlo and the cascades have no shared B and grow every
+point.  A block whose product could underflow is grown and scored by
+``_bottom`` as well.
 
 ``MAX_ENTRIES`` bounds work: both backends raise ``BudgetError`` before
 allocating when points times the widest per-point array would exceed it.
 Memory is bounded by a block for both: the walk visits the grid or tree in
 blocks of at most ``BLOCK_ENTRIES`` entries and folds each block before the
-next, so only per-block arrays and one value per outer point are held.
-Monte Carlo draws follow the walk, the outer levels whole and then each
-block's inner levels, each level parent by parent in the node-major order
-of its parents; so splitting more than the innermost level over blocks
-changes the draws.
+next, so only per-block arrays, exp(B), and one value per outer point are
+held.  Monte Carlo draws follow the walk, the outer levels whole and then
+each block's inner levels, each level parent by parent in the node-major
+order of its parents; so splitting more than the innermost level over
+blocks changes the draws.
 
 Lambda coefficients are stored as a flat vector over the upper triangle in
 row-major order: (0,0), (0,1), ..., (0,kappa-1), (1,1), ...
@@ -87,11 +98,19 @@ X_NEAR_ONE = 1.0 - 1e-9
 #: per-point array (atoms, kappa, or lambda slots in the gradient).
 MAX_ENTRIES = 1 << 24
 
-#: Entries (points times that width) in one block of the walk; it bounds
-#: the memory of both backends.  A block's arrays then stay in cache at
-#: 128 KiB per float array; in sweeps of 2^12..2^18, 2^14..2^16 ran close
-#: and no size was fastest in every round.
+#: Entries in one block of the walk; it bounds the memory of both backends.
+#: A grown block counts points times that width; a separable quadrature
+#: block counts its parents times the widest per-parent array: exp(A)
+#: (atoms), or its children's values, or their lambda gradients.  A block's
+#: arrays then stay in cache at 128 KiB per float array; in sweeps of
+#: 2^12..2^18 on grown blocks, 2^14..2^16 ran close and no size was fastest
+#: in every round.
 BLOCK_ENTRIES = 1 << 14
+
+#: Largest spread (max - min over atoms) of A for one parent plus that of B
+#: for one node at which ``_bottom_separable`` scores: each term of its
+#: product then exceeds the smallest normal float, so none underflows.
+SEPARABLE_SPREAD = -math.log(np.finfo(float).tiny)
 
 #: The lambda descent of ``phi_star`` stops once max |gradient| falls to this.
 GRAD_TOL = 1e-8
@@ -375,7 +394,9 @@ class EvalSpec:
     ``samples_per_level`` child draws per node, ``replications`` independent
     trees for the standard error.  Either is refused beyond ``MAX_ENTRIES``,
     a bound on work; the memory of either is bounded by one block of
-    ``BLOCK_ENTRIES`` entries and one value per outer point.
+    ``BLOCK_ENTRIES`` entries and one value per outer point, and that of
+    quadrature also by exp(B) of its innermost level, n_atoms times that
+    level's nodes.
     """
 
     backend: str = "quadrature"
@@ -431,14 +452,27 @@ def _logsumexp(a: np.ndarray, axis: int = -1) -> np.ndarray:
 
 def _atom_base(prior: SpinPrior, lam, external_field=None, quad_bonus=None) -> np.ndarray:
     """Per-atom constant of the inner integrand, (n_atoms,): the lambda term,
-    the log weight, the x = 1 bonus and the external field term <sigma, h>."""
+    the log weight, the x = 1 bonus and the external field term <sigma, h>;
+    the field h must have shape (kappa,) and finite entries."""
     base = _atom_pair_products(prior) @ lambda_validate(lam, prior.kappa)
     base = base + prior.log_weights()
     if quad_bonus is not None:
         base = base + quad_bonus
     if external_field is not None:
-        base = base + prior.points @ np.asarray(external_field, dtype=float)
+        h = np.asarray(external_field, dtype=float)
+        if h.shape != (prior.kappa,):
+            raise ValidationError(
+                f"external_field must have shape ({prior.kappa},), got {h.shape}")
+        if not np.all(np.isfinite(h)):
+            raise ValidationError("external_field entries must be finite")
+        base = base + prior.points @ h
     return base
+
+
+def _scores(points: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """<sigma, z> for every atom and field value z (P, kappa), (n_atoms, P)."""
+    # a kappa = 1 field only scales: BLAS is slow at inner dimension 1
+    return points * z[:, 0] if z.shape[1] == 1 else points @ z.T
 
 
 def _bottom(points: np.ndarray, base: np.ndarray, z: np.ndarray, pair=None):
@@ -448,17 +482,67 @@ def _bottom(points: np.ndarray, base: np.ndarray, z: np.ndarray, pair=None):
     along axis 0 into the per-point log of the weighted atom sum.  With
     ``pair`` (n_atoms, C) it also returns the per-point Gibbs averages of
     the pair products, (P, C), the bottom of the lambda gradient; else None.
+    It scores grown points: every sampled tree's (Monte Carlo and the
+    cascades), ``eval_inner``'s field, and a quadrature block whose
+    separable product could underflow (``_bottom_separable``).
     """
     # in place: with fewer (n_atoms, P) temporaries, a block's freed memory stays
-    # under the allocator's trim threshold, and the next block reuses it;
-    # a kappa = 1 field only scales: BLAS is slow at inner dimension 1
-    scores = points * z[:, 0] if z.shape[1] == 1 else points @ z.T
+    # under the allocator's trim threshold, and the next block reuses it
+    scores = _scores(points, z)
     scores += base[:, None]
     values = _logsumexp(scores, axis=0)
     if pair is None:
         return values, None
     scores -= values
     return values, np.exp(scores, out=scores).T @ pair
+
+
+def _shared_nodes(points: np.ndarray, offsets: np.ndarray):
+    """The node half of ``_bottom_separable`` for offsets o_c (n, kappa) that
+    every parent shares: (exp(B - m_B), m_B, the largest spread of B over
+    atoms), where B = <sigma, o_c> is (n_atoms, n) and m_B its column maxima.
+    """
+    b = _scores(points, offsets)
+    m_b = b.max(axis=0)
+    spread = float(np.max(m_b - b.min(axis=0)))
+    return np.exp(b - m_b), m_b, spread
+
+
+def _bottom_separable(points: np.ndarray, base: np.ndarray, z: np.ndarray, nodes,
+                      pair=None):
+    """The bottom layer over the children of parents z (Q, kappa) at shared
+    offsets o_c, without growing them; ``nodes`` is ``_shared_nodes(...)``.
+
+    Child c of parent q scores A[a, q] + B[a, c] for atom a, with A = <sigma,
+    z> + base (n_atoms, Q) and B = <sigma, o_c>.  Shifted by their column
+    maxima, the atom sums S of all children are one product exp(B)^T exp(A)
+    of inner dimension n_atoms, and the values are log S + m_B + m_A,
+    node-major as ``_grow`` lays the children out (point c * Q + q).  With
+    ``pair`` (n_atoms, C) it also returns the Gibbs averages of the pair
+    products, (n * Q, C), as C more products exp(B)^T (pair[:, k] exp(A)) / S;
+    else None.
+
+    Every term of the product exceeds exp(-spread A - spread B).  When that
+    could underflow (``SEPARABLE_SPREAD``), returns None, and the caller
+    grows the children and scores them with ``_bottom``.
+    """
+    eb, m_b, spread_b = nodes
+    a = _scores(points, z)
+    a += base[:, None]
+    m_a = a.max(axis=0)
+    if not float(np.max(m_a - a.min(axis=0))) + spread_b < SEPARABLE_SPREAD:
+        return None
+    a -= m_a
+    ea = np.exp(a, out=a)
+    sums = eb.T @ ea
+    values = (np.log(sums) + m_b[:, None] + m_a).reshape(-1)
+    if pair is None:
+        return values, None
+    grads = np.empty(sums.shape + (pair.shape[1],))
+    for k, p in enumerate(pair.T):
+        grads[:, :, k] = eb.T @ (ea * p[:, None])
+    grads /= sums[:, :, None]
+    return values, grads.reshape(-1, pair.shape[1])
 
 
 def eval_inner(prior: SpinPrior, lam, z_sum, external_field=None) -> float:
@@ -522,8 +606,7 @@ def _gh_nodes(n: int):
 
 def _quad_levels(factors, n_nodes):
     """Per level: (offsets, log-weights) of one tensor Gauss-Hermite grid
-    that every parent shares, so ``offsets`` ignores the parent count and
-    returns (n, 1, kappa)."""
+    that every parent shares, so ``offsets`` is one (n, 1, kappa) array."""
     z1, w1 = _gh_nodes(n_nodes)
     logw1 = np.log(w1)
     levels = []
@@ -533,7 +616,7 @@ def _quad_levels(factors, n_nodes):
         pts = np.stack([grid.ravel() for grid in grids], axis=1)
         wgrids = np.meshgrid(*([logw1] * d), indexing="ij")
         lw = np.sum([wg.ravel() for wg in wgrids], axis=0)
-        levels.append((lambda parents, offs=(pts @ f.T)[:, None, :]: offs, lw))
+        levels.append(((pts @ f.T)[:, None, :], lw))
     return levels
 
 
@@ -554,10 +637,13 @@ def _sampled_levels(factors, n, rng):
 
 def _grow(z, offsets):
     """Every point of z plus each offset of its children, node-major: point
-    c * len(z) + p is child c of parent p, (n * len(z), kappa)."""
+    c * len(z) + p is child c of parent p, (n * len(z), kappa).  ``offsets``
+    is a level's: an (n, 1, kappa) array every parent shares, or a callable
+    that draws (n, parents, kappa)."""
+    offs = offsets(z.shape[0]) if callable(offsets) else offsets
     # C order: sampled offsets are a transposed view, and reshaping a
     # transposed sum would copy it far more slowly
-    return np.add(offsets(z.shape[0]), z, order="C").reshape(-1, z.shape[1])
+    return np.add(offs, z, order="C").reshape(-1, z.shape[1])
 
 
 def _phi(model, prior, lam, path, spec: EvalSpec, external_field=None, want_grad=False):
@@ -566,15 +652,21 @@ def _phi(model, prior, lam, path, spec: EvalSpec, external_field=None, want_grad
     Quadrature walks its grid once; Monte Carlo walks ``spec.replications``
     sampling trees and averages their values and gradients.  A walk visits
     its grid or tree in blocks of at most ``BLOCK_ENTRIES`` entries (or of
-    one innermost level, when that alone is larger).  The levels split into
-    an outer prefix and the longest inner suffix whose points x width fit
-    one block.  The prefix points are grown whole; a block is a run of them
-    with their whole suffix subtrees, in node-major order: it is grown,
-    scored, reduced over atoms and folded over the suffix levels.  The outer
-    levels are folded last, over the per-prefix values, which keep the
-    prefixes' node-major order.  Monte Carlo draws follow this order: the
-    prefix levels whole, then each block's suffix levels; a level draws one
-    row of n children per parent, the parents in node-major order.
+    one innermost level, when that alone is larger).  Sampled levels are
+    all grown; of quadrature levels, all but the innermost, whose shared
+    offsets ``_bottom_separable`` scores for every parent at once.  The
+    grown levels split into an outer prefix and the longest inner suffix
+    whose entries fit one block: points x width when grown, parents x the
+    widest per-parent array when separable.  The prefix points are grown
+    whole; a block is a run of them with their whole suffix subtrees, in
+    node-major order: it is grown, scored, reduced over atoms and folded
+    over the suffix levels.  A separable block whose product could
+    underflow grows its innermost level a few nodes at a time, and
+    ``_bottom`` scores them.  The outer levels are folded last, over the
+    per-prefix values, which keep the prefixes' node-major order.  Monte
+    Carlo draws follow this order: the prefix levels whole, then each
+    block's suffix levels; a level draws one row of n children per parent,
+    the parents in node-major order.
     """
     x_seq, factors, bonus = _plan_factors(model, prior, path)
     # a level without variance has X_j = X_{j+1}: it is dropped
@@ -590,22 +682,47 @@ def _phi(model, prior, lam, path, spec: EvalSpec, external_field=None, want_grad
     pair = _atom_pair_products(prior) if want_grad else None
 
     def walk(levels):
-        cut, inner = len(levels), 1
+        # shared offsets (quadrature) let the innermost level be scored
+        # without growing it; sampled offsets differ per parent
+        shared = levels[-1][0] if levels and not callable(levels[-1][0]) else None
+        if shared is None:
+            grown, unit = levels, width
+        else:
+            nodes = _shared_nodes(prior.points, shared[:, 0])
+            # entries per parent: exp(A), and its children's values or gradients
+            grown = levels[:-1]
+            unit = max(prior.n_atoms, path.kappa,
+                       shared.shape[0] * (lambda_size(path.kappa) if want_grad else 1))
+        # a grown block holds at least one whole innermost level
+        cut, inner = len(grown), 1
         while cut > 0 and (cut == len(levels)
-                           or inner * levels[cut - 1][1].size * width <= BLOCK_ENTRIES):
+                           or inner * grown[cut - 1][1].size * unit <= BLOCK_ENTRIES):
             cut -= 1
-            inner *= levels[cut][1].size
+            inner *= grown[cut][1].size
         prefixes = np.zeros((1, path.kappa))
-        for offs, _ in levels[:cut]:
+        for offs, _ in grown[:cut]:
             prefixes = _grow(prefixes, offs)
         logws = [lw for _, lw in levels]
-        step = max(1, BLOCK_ENTRIES // (inner * width))
+        step = max(1, BLOCK_ENTRIES // (inner * unit))
+
+        def grown_bottom(z):
+            # _bottom over z's children, a few nodes at a time: the node-major
+            # runs of children concatenate in order, and no scores exceed a block
+            rows = max(1, BLOCK_ENTRIES // (z.shape[0] * width))
+            parts = [_bottom(prior.points, base, _grow(z, shared[s:s + rows]), pair)
+                     for s in range(0, shared.shape[0], rows)]
+            return (np.concatenate([v for v, _ in parts]),
+                    np.concatenate([g for _, g in parts]) if want_grad else None)
+
         vals, grads = [], []
         for start in range(0, prefixes.shape[0], step):
             z = prefixes[start:start + step]
-            for offs, _ in levels[cut:]:
+            for offs, _ in grown[cut:]:
                 z = _grow(z, offs)
-            v, g = _bottom(prior.points, base, z, pair)
+            if shared is None:
+                v, g = _bottom(prior.points, base, z, pair)
+            else:
+                v, g = _bottom_separable(prior.points, base, z, nodes, pair) or grown_bottom(z)
             v, g = _fold(v, logws[cut:], x_seq[cut:], g)
             vals.append(v)
             grads.append(g)

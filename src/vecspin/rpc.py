@@ -116,6 +116,11 @@ def _validate_cascade_x(x) -> np.ndarray:
     return x
 
 
+def _check_fanout(fanout: int) -> None:
+    if fanout < 2:
+        raise ValidationError(f"fanout must be >= 2, got {fanout}")
+
+
 def sample_cascade(x, fanout: int, seed) -> CascadeTree:
     """Sample the truncated weight tree for parameters ``x``.
 
@@ -123,8 +128,7 @@ def sample_cascade(x, fanout: int, seed) -> CascadeTree:
     identical trees.
     """
     x = _validate_cascade_x(x)
-    if fanout < 2:
-        raise ValidationError("fanout must be >= 2")
+    _check_fanout(fanout)
     rng = seed if isinstance(seed, np.random.Generator) else spawn_rng(int(seed))
     logw = np.zeros(1)
     for zeta in x:
@@ -188,8 +192,9 @@ def simulate_phi(model: MixedModel, prior: SpinPrior, lam, path: Path,
     Each replication samples the weight tree and the vector field, and
     evaluates log sum_leaves v_leaf exp(inner integrand).  Leading x = 0
     levels become a shared field draw; trailing x = 1 levels fold into the
-    integrand exactly.
+    integrand exactly.  ``fanout`` must be >= 2 whatever the level plan.
     """
+    _check_fanout(fanout)
     check_replications(replications)
     x_seq, (lead_f, *core_f), bonus = _plan_factors(model, prior, path)
     _check_budget(fanout ** len(core_f), max(prior.n_atoms, path.kappa), "cascade tree")
@@ -220,8 +225,10 @@ def simulate_y_functional(model: MixedModel, path: Path, m_sites: int,
 
     The closed form is ``y_functional_closed_form``; the identity holds for
     every M on the untruncated tree, so the deviation measures truncation
-    bias plus sampling noise.
+    bias plus sampling noise.  ``fanout`` must be >= 2 whatever the level
+    plan.
     """
+    _check_fanout(fanout)
     if m_sites <= 0:
         raise ValidationError("m_sites must be positive")
     check_replications(replications)

@@ -316,6 +316,14 @@ class TestExitCodes:
         assert main(["optimize", "--config", cfg]) == 3
         assert f"optimize.{field}" in capsys.readouterr().err
 
+    def test_rpc_fanout_below_two(self, tmp_path, capsys):
+        # x = 1 only: no cascade level, so only the fanout check refuses it
+        for fanout in (0, 1):
+            text = (RPC_CONFIG.replace("x: [0.5]", "x: [1.0]")
+                    .replace("fanout: 64", f"fanout: {fanout}"))
+            assert main(["rpc-check", "--config", write(tmp_path, text)]) == 3, fanout
+            assert "fanout" in capsys.readouterr().err
+
     @pytest.mark.parametrize("key", sorted(MALFORMED))
     def test_malformed_value(self, key, tmp_path, capsys):
         command, text, old, new, extra = MALFORMED[key]

@@ -31,6 +31,7 @@ from vecspin.parisi import (
     BLOCK_ENTRIES,
     _atom_base,
     _bottom,
+    _bottom_separable,
     _logsumexp,
     _plan_factors,
     increments,
@@ -321,22 +322,72 @@ class TestEvalPhi:
         base = _atom_base(prior, lam)
         want = _logsumexp(prior.points @ z.T + base[:, None], axis=0)
         assert np.array_equal(_bottom(prior.points, base, z)[0], want)
+        # the separable innermost level, every block's children one product:
+        # 1 atom (4 to 64 blocks a call) and 64 atoms at kappa = 2 (1 to 8)
+        fallbacks = []
+        real = _bottom_separable
+
+        def spy(*args):
+            out = real(*args)
+            fallbacks.append(out is None)
+            return out
+
+        monkeypatch.setattr("vecspin.parisi._bottom_separable", spy)
+
+        def matches_whole_grid(m, prior, lam, path, nodes):
+            fallbacks.clear()
+            v, g, _ = whole_grid(m, prior, lam, path, nodes)
+            spec = EvalSpec(nodes_per_level=nodes)
+            assert eval_phi(m, prior, lam, path, spec)[0] == pytest.approx(v, rel=1e-13)
+            gv, gg = phi_grad_lambda(m, prior, lam, path, spec)
+            assert gv == pytest.approx(v, rel=1e-13)
+            np.testing.assert_allclose(gg, g, rtol=1e-13, atol=0)
+            return gv, gg
+
+        for kappa, atoms, r, nodes in ((1, 1, 4, 16), (2, 64, 2, 8)):
+            m = random_model(rng, kappa)
+            prior = random_prior(rng, kappa, n_atoms=atoms)
+            lam = random_lambda(rng, kappa)
+            path = random_path(rng, kappa, r)
+            for block in (BLOCK_ENTRIES, 1 << 11):
+                monkeypatch.setattr("vecspin.parisi.BLOCK_ENTRIES", block)
+                v, g = matches_whole_grid(m, prior, lam, path, nodes)
+                assert fallbacks and not any(fallbacks)
+                # the guard at 0: every block grows its children instead
+                monkeypatch.setattr("vecspin.parisi.SEPARABLE_SPREAD", 0.0)
+                assert matches_whole_grid(m, prior, lam, path, nodes)[0] == pytest.approx(
+                    v, rel=1e-13)
+                np.testing.assert_allclose(matches_whole_grid(m, prior, lam, path, nodes)[1],
+                                           g, rtol=1e-13, atol=0)
+                assert fallbacks and all(fallbacks)
+                monkeypatch.undo()
+                monkeypatch.setattr("vecspin.parisi._bottom_separable", spy)
+        # a large field (beta = 20, D = 1): on its own, the guard sends 2 of
+        # the 4 eval_phi blocks and 2 of the 8 phi_grad_lambda blocks to the
+        # grown path
+        m = MixedModel(1, {2: [20.0]})
+        prior = SpinPrior(np.array([[-1.0], [0.2], [1.0]]), np.array([0.3, 0.3, 0.4]))
+        path = Path(np.linspace(0.2, 0.8, 4), np.linspace(0.25, 1.0, 4)[:, None, None])
+        matches_whole_grid(m, prior, random_lambda(rng, 1), path, 16)
+        assert 0 < sum(fallbacks) < len(fallbacks)
 
     def test_quadrature_memory_is_one_block(self):
         import tracemalloc
 
-        # 12^6 = 2,985,984 grid points; the whole grid's scores alone are 48 MB
+        # 12^6 = 2,985,984 grid points; the whole grid's scores alone are 48 MB;
+        # and 64 atoms at kappa = 2 on 16^4 = 65,536 points: 32 MiB of scores
         rng = spawn_rng(26)
-        m = random_model(rng, 1)
-        prior = random_prior(rng, 1, n_atoms=2)
-        path = random_path(rng, 1, 6, x_lo=0.05, x_hi=0.95)
-        lam = random_lambda(rng, 1)
-        for fn in (eval_phi, phi_grad_lambda):
-            tracemalloc.start()
-            fn(m, prior, lam, path, EvalSpec(nodes_per_level=12))
-            peak = tracemalloc.get_traced_memory()[1]
-            tracemalloc.stop()
-            assert peak < 16 << 20
+        for kappa, atoms, r, nodes in ((1, 2, 6, 12), (2, 64, 2, 16)):
+            m = random_model(rng, kappa)
+            prior = random_prior(rng, kappa, n_atoms=atoms)
+            path = random_path(rng, kappa, r, x_lo=0.05, x_hi=0.95)
+            lam = random_lambda(rng, kappa)
+            for fn in (eval_phi, phi_grad_lambda):
+                tracemalloc.start()
+                fn(m, prior, lam, path, EvalSpec(nodes_per_level=nodes))
+                peak = tracemalloc.get_traced_memory()[1]
+                tracemalloc.stop()
+                assert peak < 16 << 20
 
     def test_monte_carlo_memory_is_one_block(self, monkeypatch):
         import tracemalloc
@@ -363,6 +414,25 @@ class TestEvalPhi:
         assert whole[0] == split[0]
         assert whole[1][0] == split[1][0]
         np.testing.assert_array_equal(whole[1][1], split[1][1])
+
+    @pytest.mark.parametrize("field", [[0.3, 0.1], 0.3, [np.nan]],
+                             ids=["wrong_length", "scalar", "nan"])
+    def test_external_field_validated(self, field):
+        path = Path([0.5], [[[1.0]]])
+        lam = lambda_zero(1)
+        mc = EvalSpec(backend="monte_carlo", samples_per_level=8, replications=2)
+        calls = [
+            lambda: eval_inner(COUNTING_ISING, lam, [0.0], external_field=field),
+            lambda: eval_phi(SK_HALF, COUNTING_ISING, lam, path, QUAD, external_field=field),
+            lambda: eval_phi(SK_HALF, COUNTING_ISING, lam, path, mc, external_field=field),
+            lambda: phi_grad_lambda(SK_HALF, COUNTING_ISING, lam, path, QUAD,
+                                    external_field=field),
+            lambda: simulate_phi(SK_HALF, COUNTING_ISING, lam, path, fanout=4,
+                                 replications=2, external_field=field),
+        ]
+        for call in calls:
+            with pytest.raises(ValidationError, match="external_field"):
+                call()
 
     def test_negative_seed_rejected(self):
         with pytest.raises(ValidationError, match="seed"):

@@ -170,6 +170,16 @@ class TestSimulatePhi:
         with pytest.raises(ValidationError, match="seed"):
             sample_cascade([0.5], 4, seed=-1)
 
+    def test_fanout_below_two_rejected(self):
+        # x = (0, 1): no cascade level, so sample_cascade never sees the fanout
+        path = Path([0.0, 1.0], [[[0.5]], [[1.0]]])
+        for fanout in (0, 1):
+            with pytest.raises(ValidationError, match="fanout"):
+                simulate_phi(SK_HALF, COUNTING_ISING, lambda_zero(1), path,
+                             fanout=fanout, replications=2)
+            with pytest.raises(ValidationError, match="fanout"):
+                simulate_y_functional(SK_HALF, path, 4, fanout=fanout, replications=2)
+
     def test_threads_do_not_change_values(self):
         path = Path([0.5], [[[1.0]]])
         a = simulate_phi(SK_HALF, COUNTING_ISING, lambda_zero(1), path,
