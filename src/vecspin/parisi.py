@@ -45,15 +45,12 @@ slowest.  They are scored by one atom-major bottom-layer kernel
 leading axis of a contiguous (n, rest) view (``_fold``); the cascade
 estimators in ``rpc`` share ``_grow``, ``_sampled_levels`` and ``_bottom``.
 
-The innermost level of a quadrature grid is not grown.  The field enters
-the integrand linearly, so the score of atom a at child c of parent q
-splits as A[a, q] + B[a, c], with B from the offsets that every parent
-shares; the atom sums of a block's children are then one matrix product
-exp(B)^T exp(A) of inner dimension n_atoms (``_bottom_separable``), with
-exp(B) computed once per walk.  Sampled levels give every parent other
-offsets, so Monte Carlo and the cascades have no shared B and grow every
-point.  A block whose product could underflow is grown and scored by
-``_bottom`` as well.
+The innermost quadrature level is not grown: the field enters linearly,
+so atom a at child c of parent q scores A[a, q] + B[a, c], B from the
+offsets all parents share, and a block's atom sums are one product
+exp(B)^T exp(A) (``_bottom_separable``).  Sampled levels give each parent
+its own offsets, so Monte Carlo and the cascades have no shared B and
+grow every point; so does a quadrature block whose product could underflow.
 
 ``MAX_ENTRIES`` bounds work: both backends raise ``BudgetError`` before
 allocating when points times the widest per-point array would exceed it.
@@ -98,13 +95,12 @@ X_NEAR_ONE = 1.0 - 1e-9
 #: per-point array (atoms, kappa, or lambda slots in the gradient).
 MAX_ENTRIES = 1 << 24
 
-#: Entries in one block of the walk; it bounds the memory of both backends.
-#: A grown block counts points times that width; a separable quadrature
-#: block counts its parents times the widest per-parent array: exp(A)
-#: (atoms), or its children's values, or their lambda gradients.  A block's
-#: arrays then stay in cache at 128 KiB per float array; in sweeps of
-#: 2^12..2^18 on grown blocks, 2^14..2^16 ran close and no size was fastest
-#: in every round.
+#: Entries in one block of the walk; it bounds the memory of both backends:
+#: points times that width, or, for a separable quadrature block, parents
+#: times exp(A)'s atoms or their children's values or lambda gradients.  A
+#: block's arrays then stay in cache at 128 KiB per float array; in sweeps
+#: of 2^12..2^18 on grown blocks, 2^14..2^16 ran close and no size was
+#: fastest in every round.
 BLOCK_ENTRIES = 1 << 14
 
 #: Largest spread (max - min over atoms) of A for one parent plus that of B
@@ -482,9 +478,8 @@ def _bottom(points: np.ndarray, base: np.ndarray, z: np.ndarray, pair=None):
     along axis 0 into the per-point log of the weighted atom sum.  With
     ``pair`` (n_atoms, C) it also returns the per-point Gibbs averages of
     the pair products, (P, C), the bottom of the lambda gradient; else None.
-    It scores grown points: every sampled tree's (Monte Carlo and the
-    cascades), ``eval_inner``'s field, and a quadrature block whose
-    separable product could underflow (``_bottom_separable``).
+    It scores grown points: sampled trees, ``eval_inner``'s field, and
+    quadrature blocks that ``_bottom_separable`` refuses.
     """
     # in place: with fewer (n_atoms, P) temporaries, a block's freed memory stays
     # under the allocator's trim threshold, and the next block reuses it
@@ -498,10 +493,9 @@ def _bottom(points: np.ndarray, base: np.ndarray, z: np.ndarray, pair=None):
 
 
 def _shared_nodes(points: np.ndarray, offsets: np.ndarray):
-    """The node half of ``_bottom_separable`` for offsets o_c (n, kappa) that
-    every parent shares: (exp(B - m_B), m_B, the largest spread of B over
-    atoms), where B = <sigma, o_c> is (n_atoms, n) and m_B its column maxima.
-    """
+    """(exp(B - m_B), m_B, the largest spread of B over atoms) for offsets o_c
+    (n, kappa) that every parent shares: B = <sigma, o_c> is (n_atoms, n)
+    and m_B its column maxima.  Computed once per walk."""
     b = _scores(points, offsets)
     m_b = b.max(axis=0)
     spread = float(np.max(m_b - b.min(axis=0)))
@@ -513,18 +507,13 @@ def _bottom_separable(points: np.ndarray, base: np.ndarray, z: np.ndarray, nodes
     """The bottom layer over the children of parents z (Q, kappa) at shared
     offsets o_c, without growing them; ``nodes`` is ``_shared_nodes(...)``.
 
-    Child c of parent q scores A[a, q] + B[a, c] for atom a, with A = <sigma,
-    z> + base (n_atoms, Q) and B = <sigma, o_c>.  Shifted by their column
-    maxima, the atom sums S of all children are one product exp(B)^T exp(A)
-    of inner dimension n_atoms, and the values are log S + m_B + m_A,
-    node-major as ``_grow`` lays the children out (point c * Q + q).  With
-    ``pair`` (n_atoms, C) it also returns the Gibbs averages of the pair
-    products, (n * Q, C), as C more products exp(B)^T (pair[:, k] exp(A)) / S;
-    else None.
-
-    Every term of the product exceeds exp(-spread A - spread B).  When that
-    could underflow (``SEPARABLE_SPREAD``), returns None, and the caller
-    grows the children and scores them with ``_bottom``.
+    Child c of parent q scores A[a, q] + B[a, c], with A = <sigma, z> + base
+    (n_atoms, Q).  Shifted by column maxima, the atom sums are one product
+    S = exp(B)^T exp(A), and the values log S + m_B + m_A come node-major,
+    as ``_grow`` lays children out (point c * Q + q).  With ``pair``
+    (n_atoms, C) it also returns the Gibbs averages of the pair products,
+    (n * Q, C), as C more products exp(B)^T (pair[:, k] exp(A)) / S.
+    Returns None when a term of S could underflow (``SEPARABLE_SPREAD``).
     """
     eb, m_b, spread_b = nodes
     a = _scores(points, z)
@@ -652,17 +641,15 @@ def _phi(model, prior, lam, path, spec: EvalSpec, external_field=None, want_grad
     Quadrature walks its grid once; Monte Carlo walks ``spec.replications``
     sampling trees and averages their values and gradients.  A walk visits
     its grid or tree in blocks of at most ``BLOCK_ENTRIES`` entries (or of
-    one innermost level, when that alone is larger).  Sampled levels are
-    all grown; of quadrature levels, all but the innermost, whose shared
-    offsets ``_bottom_separable`` scores for every parent at once.  The
-    grown levels split into an outer prefix and the longest inner suffix
-    whose entries fit one block: points x width when grown, parents x the
+    one innermost level, when that alone is larger).  Every level is grown
+    but the innermost quadrature level, which ``_bottom_separable`` scores
+    (or, if its product could underflow, ``_bottom`` a few nodes at a time).
+    The grown levels split into an outer prefix and the longest inner
+    suffix whose entries fit one block: points x width, or parents x the
     widest per-parent array when separable.  The prefix points are grown
     whole; a block is a run of them with their whole suffix subtrees, in
     node-major order: it is grown, scored, reduced over atoms and folded
-    over the suffix levels.  A separable block whose product could
-    underflow grows its innermost level a few nodes at a time, and
-    ``_bottom`` scores them.  The outer levels are folded last, over the
+    over the suffix levels.  The outer levels are folded last, over the
     per-prefix values, which keep the prefixes' node-major order.  Monte
     Carlo draws follow this order: the prefix levels whole, then each
     block's suffix levels; a level draws one row of n children per parent,

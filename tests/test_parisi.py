@@ -29,6 +29,7 @@ from vecspin import (
 )
 from vecspin.parisi import (
     BLOCK_ENTRIES,
+    SEPARABLE_SPREAD,
     _atom_base,
     _bottom,
     _bottom_separable,
@@ -351,17 +352,17 @@ class TestEvalPhi:
             path = random_path(rng, kappa, r)
             for block in (BLOCK_ENTRIES, 1 << 11):
                 monkeypatch.setattr("vecspin.parisi.BLOCK_ENTRIES", block)
+                monkeypatch.setattr("vecspin.parisi.SEPARABLE_SPREAD", SEPARABLE_SPREAD)
                 v, g = matches_whole_grid(m, prior, lam, path, nodes)
                 assert fallbacks and not any(fallbacks)
                 # the guard at 0: every block grows its children instead
                 monkeypatch.setattr("vecspin.parisi.SEPARABLE_SPREAD", 0.0)
-                assert matches_whole_grid(m, prior, lam, path, nodes)[0] == pytest.approx(
-                    v, rel=1e-13)
-                np.testing.assert_allclose(matches_whole_grid(m, prior, lam, path, nodes)[1],
-                                           g, rtol=1e-13, atol=0)
+                gv, gg = matches_whole_grid(m, prior, lam, path, nodes)
                 assert fallbacks and all(fallbacks)
-                monkeypatch.undo()
-                monkeypatch.setattr("vecspin.parisi._bottom_separable", spy)
+                assert gv == pytest.approx(v, rel=1e-13)
+                np.testing.assert_allclose(gg, g, rtol=1e-13, atol=0)
+        monkeypatch.setattr("vecspin.parisi.BLOCK_ENTRIES", BLOCK_ENTRIES)
+        monkeypatch.setattr("vecspin.parisi.SEPARABLE_SPREAD", SEPARABLE_SPREAD)
         # a large field (beta = 20, D = 1): on its own, the guard sends 2 of
         # the 4 eval_phi blocks and 2 of the 8 phi_grad_lambda blocks to the
         # grown path
