@@ -49,18 +49,20 @@ The innermost quadrature level is not grown: the field enters linearly,
 so atom a at child c of parent q scores A[a, q] + B[a, c], B from the
 offsets all parents share, and a block's atom sums are one product
 exp(B)^T exp(A) (``_bottom_separable``).  Sampled levels give each parent
-its own offsets, so Monte Carlo and the cascades have no shared B and
-grow every point; so does a quadrature block whose product could underflow.
+its own offsets, so Monte Carlo and the cascades have no shared B and grow
+every level; so does a quadrature walk whose product could underflow, as
+one bound taken from its levels decides (``_shared_nodes``).
 
 ``MAX_ENTRIES`` bounds work: both backends raise ``BudgetError`` before
 allocating when points times the widest per-point array would exceed it.
 Memory is bounded by a block for both: the walk visits the grid or tree in
 blocks of at most ``BLOCK_ENTRIES`` entries and folds each block before the
 next, so only per-block arrays, exp(B), and one value per outer point are
-held.  Monte Carlo draws follow the walk, the outer levels whole and then
-each block's inner levels, each level parent by parent in the node-major
-order of its parents; so splitting more than the innermost level over
-blocks changes the draws.
+held; a block that grows every level holds at least one innermost level.
+Monte Carlo draws follow the walk, the outer levels whole and then each
+block's inner levels, each level parent by parent in the node-major order
+of its parents; so splitting more than the innermost level over blocks
+changes the draws.
 
 Lambda coefficients are stored as a flat vector over the upper triangle in
 row-major order: (0,0), (0,1), ..., (0,kappa-1), (1,1), ...
@@ -96,16 +98,17 @@ X_NEAR_ONE = 1.0 - 1e-9
 MAX_ENTRIES = 1 << 24
 
 #: Entries in one block of the walk; it bounds the memory of both backends:
-#: points times that width, or, for a separable quadrature block, parents
+#: points times that width, or, for a separable quadrature walk, parents
 #: times exp(A)'s atoms or their children's values or lambda gradients.  A
 #: block's arrays then stay in cache at 128 KiB per float array; in sweeps
 #: of 2^12..2^18 on grown blocks, 2^14..2^16 ran close and no size was
 #: fastest in every round.
 BLOCK_ENTRIES = 1 << 14
 
-#: Largest spread (max - min over atoms) of A for one parent plus that of B
-#: for one node at which ``_bottom_separable`` scores: each term of its
-#: product then exceeds the smallest normal float, so none underflows.
+#: Limit on a walk's bound of the spread (max - min over atoms) of A for one
+#: parent plus that of B for one node: below it, each term of the product in
+#: ``_bottom_separable`` exceeds the smallest normal float, so none
+#: underflows, and the walk is separable (``_shared_nodes``).
 SEPARABLE_SPREAD = -math.log(np.finfo(float).tiny)
 
 #: The lambda descent of ``phi_star`` stops once max |gradient| falls to this.
@@ -390,8 +393,10 @@ class EvalSpec:
     ``samples_per_level`` child draws per node, ``replications`` independent
     trees for the standard error.  Either is refused beyond ``MAX_ENTRIES``,
     a bound on work; the memory of either is bounded by one block of
-    ``BLOCK_ENTRIES`` entries and one value per outer point, and that of
-    quadrature also by exp(B) of its innermost level, n_atoms times that
+    ``BLOCK_ENTRIES`` entries and one value per outer point.  A block that
+    grows every level (Monte Carlo, or a quadrature walk that is not
+    separable) holds at least one innermost level; a separable quadrature
+    walk also holds exp(B) of its innermost level, n_atoms times that
     level's nodes.
     """
 
@@ -446,6 +451,16 @@ def _logsumexp(a: np.ndarray, axis: int = -1) -> np.ndarray:
     return np.squeeze(m, axis) + np.log(np.exp(e, out=e).sum(axis=axis))
 
 
+def _field(h, kappa: int, name: str) -> np.ndarray:
+    """``h`` as a float array, which must have shape (kappa,) and finite entries."""
+    h = np.asarray(h, dtype=float)
+    if h.shape != (kappa,):
+        raise ValidationError(f"{name} must have shape ({kappa},), got {h.shape}")
+    if not np.all(np.isfinite(h)):
+        raise ValidationError(f"{name} entries must be finite")
+    return h
+
+
 def _atom_base(prior: SpinPrior, lam, external_field=None, quad_bonus=None) -> np.ndarray:
     """Per-atom constant of the inner integrand, (n_atoms,): the lambda term,
     the log weight, the x = 1 bonus and the external field term <sigma, h>;
@@ -455,13 +470,7 @@ def _atom_base(prior: SpinPrior, lam, external_field=None, quad_bonus=None) -> n
     if quad_bonus is not None:
         base = base + quad_bonus
     if external_field is not None:
-        h = np.asarray(external_field, dtype=float)
-        if h.shape != (prior.kappa,):
-            raise ValidationError(
-                f"external_field must have shape ({prior.kappa},), got {h.shape}")
-        if not np.all(np.isfinite(h)):
-            raise ValidationError("external_field entries must be finite")
-        base = base + prior.points @ h
+        base = base + prior.points @ _field(external_field, prior.kappa, "external_field")
     return base
 
 
@@ -479,7 +488,7 @@ def _bottom(points: np.ndarray, base: np.ndarray, z: np.ndarray, pair=None):
     ``pair`` (n_atoms, C) it also returns the per-point Gibbs averages of
     the pair products, (P, C), the bottom of the lambda gradient; else None.
     It scores grown points: sampled trees, ``eval_inner``'s field, and
-    quadrature blocks that ``_bottom_separable`` refuses.
+    quadrature walks that are not separable.
     """
     # in place: with fewer (n_atoms, P) temporaries, a block's freed memory stays
     # under the allocator's trim threshold, and the next block reuses it
@@ -492,14 +501,21 @@ def _bottom(points: np.ndarray, base: np.ndarray, z: np.ndarray, pair=None):
     return values, np.exp(scores, out=scores).T @ pair
 
 
-def _shared_nodes(points: np.ndarray, offsets: np.ndarray):
-    """(exp(B - m_B), m_B, the largest spread of B over atoms) for offsets o_c
-    (n, kappa) that every parent shares: B = <sigma, o_c> is (n_atoms, n)
-    and m_B its column maxima.  Computed once per walk."""
-    b = _scores(points, offsets)
-    m_b = b.max(axis=0)
-    spread = float(np.max(m_b - b.min(axis=0)))
-    return np.exp(b - m_b), m_b, spread
+def _shared_nodes(points: np.ndarray, base: np.ndarray, levels):
+    """(exp(B - m_B), m_B) of the innermost quadrature level of ``levels``,
+    whose offsets o_c every parent shares: B = <sigma, o_c> (n_atoms, n), m_B
+    its column maxima; None if the walk is not separable.  A parent's
+    A = base + <sigma, z> sums one offset per outer level, so its spread over
+    atoms plus B's is at most spread(base) plus, per level, the largest
+    spread of <sigma, o_c> over its nodes; the walk is separable while that
+    bound is below ``SEPARABLE_SPREAD``.  Computed once per walk."""
+    scores = [_scores(points, offs[:, 0]) for offs, _ in levels]
+    highs = [s.max(axis=0) for s in scores]
+    bound = np.ptp(base) + sum(float(np.max(h - s.min(axis=0)))
+                               for h, s in zip(highs, scores))
+    if not bound < SEPARABLE_SPREAD:
+        return None
+    return np.exp(scores[-1] - highs[-1]), highs[-1]
 
 
 def _bottom_separable(points: np.ndarray, base: np.ndarray, z: np.ndarray, nodes,
@@ -512,15 +528,14 @@ def _bottom_separable(points: np.ndarray, base: np.ndarray, z: np.ndarray, nodes
     S = exp(B)^T exp(A), and the values log S + m_B + m_A come node-major,
     as ``_grow`` lays children out (point c * Q + q).  With ``pair``
     (n_atoms, C) it also returns the Gibbs averages of the pair products,
-    (n * Q, C), as C more products exp(B)^T (pair[:, k] exp(A)) / S.
-    Returns None when a term of S could underflow (``SEPARABLE_SPREAD``).
+    (n * Q, C), as C more products exp(B)^T (pair[:, k] exp(A)) / S.  The
+    walk calls it only when ``_shared_nodes`` found it separable, so no term
+    of S underflows.
     """
-    eb, m_b, spread_b = nodes
+    eb, m_b = nodes
     a = _scores(points, z)
     a += base[:, None]
     m_a = a.max(axis=0)
-    if not float(np.max(m_a - a.min(axis=0))) + spread_b < SEPARABLE_SPREAD:
-        return None
     a -= m_a
     ea = np.exp(a, out=a)
     sums = eb.T @ ea
@@ -537,9 +552,10 @@ def _bottom_separable(points: np.ndarray, base: np.ndarray, z: np.ndarray, nodes
 def eval_inner(prior: SpinPrior, lam, z_sum, external_field=None) -> float:
     """log of the weighted atom sum of exp(<sigma, z> + quadratic lambda term).
 
-    Computed with a max shift, so large fields are safe.
+    Computed with a max shift, so large fields are safe.  ``z_sum``, like
+    ``external_field``, must have shape (kappa,) and finite entries.
     """
-    z = np.asarray(z_sum, dtype=float).reshape(1, prior.kappa)
+    z = _field(z_sum, prior.kappa, "z_sum")[None, :]
     return float(_bottom(prior.points, _atom_base(prior, lam, external_field), z)[0][0])
 
 
@@ -641,19 +657,20 @@ def _phi(model, prior, lam, path, spec: EvalSpec, external_field=None, want_grad
     Quadrature walks its grid once; Monte Carlo walks ``spec.replications``
     sampling trees and averages their values and gradients.  A walk visits
     its grid or tree in blocks of at most ``BLOCK_ENTRIES`` entries (or of
-    one innermost level, when that alone is larger).  Every level is grown
-    but the innermost quadrature level, which ``_bottom_separable`` scores
-    (or, if its product could underflow, ``_bottom`` a few nodes at a time).
-    The grown levels split into an outer prefix and the longest inner
-    suffix whose entries fit one block: points x width, or parents x the
-    widest per-parent array when separable.  The prefix points are grown
-    whole; a block is a run of them with their whole suffix subtrees, in
-    node-major order: it is grown, scored, reduced over atoms and folded
-    over the suffix levels.  The outer levels are folded last, over the
-    per-prefix values, which keep the prefixes' node-major order.  Monte
-    Carlo draws follow this order: the prefix levels whole, then each
-    block's suffix levels; a level draws one row of n children per parent,
-    the parents in node-major order.
+    one innermost level, when that alone is larger).  Each walk decides
+    once, from its levels, whether it is separable (``_shared_nodes``): a
+    separable quadrature walk grows every level but the innermost, which
+    ``_bottom_separable`` scores; any other walk grows every level and
+    scores with ``_bottom``.  The grown levels split into an outer prefix
+    and the longest inner suffix whose entries fit one block: points x
+    width, or parents x the widest per-parent array when separable.  The
+    prefix points are grown whole; a block is a run of them with their
+    whole suffix subtrees, in node-major order: it is grown, scored,
+    reduced over atoms and folded over the suffix levels.  The outer levels
+    are folded last, over the per-prefix values, which keep the prefixes'
+    node-major order.  Monte Carlo draws follow this order: the prefix
+    levels whole, then each block's suffix levels; a level draws one row of
+    n children per parent, the parents in node-major order.
     """
     x_seq, factors, bonus = _plan_factors(model, prior, path)
     # a level without variance has X_j = X_{j+1}: it is dropped
@@ -669,17 +686,17 @@ def _phi(model, prior, lam, path, spec: EvalSpec, external_field=None, want_grad
     pair = _atom_pair_products(prior) if want_grad else None
 
     def walk(levels):
-        # shared offsets (quadrature) let the innermost level be scored
-        # without growing it; sampled offsets differ per parent
-        shared = levels[-1][0] if levels and not callable(levels[-1][0]) else None
-        if shared is None:
+        # shared offsets (quadrature) let a separable walk score the innermost
+        # level without growing it; sampled offsets differ per parent
+        nodes = (_shared_nodes(prior.points, base, levels)
+                 if levels and not callable(levels[-1][0]) else None)
+        if nodes is None:
             grown, unit = levels, width
         else:
-            nodes = _shared_nodes(prior.points, shared[:, 0])
             # entries per parent: exp(A), and its children's values or gradients
             grown = levels[:-1]
             unit = max(prior.n_atoms, path.kappa,
-                       shared.shape[0] * (lambda_size(path.kappa) if want_grad else 1))
+                       levels[-1][1].size * (lambda_size(path.kappa) if want_grad else 1))
         # a grown block holds at least one whole innermost level
         cut, inner = len(grown), 1
         while cut > 0 and (cut == len(levels)
@@ -692,24 +709,15 @@ def _phi(model, prior, lam, path, spec: EvalSpec, external_field=None, want_grad
         logws = [lw for _, lw in levels]
         step = max(1, BLOCK_ENTRIES // (inner * unit))
 
-        def grown_bottom(z):
-            # _bottom over z's children, a few nodes at a time: the node-major
-            # runs of children concatenate in order, and no scores exceed a block
-            rows = max(1, BLOCK_ENTRIES // (z.shape[0] * width))
-            parts = [_bottom(prior.points, base, _grow(z, shared[s:s + rows]), pair)
-                     for s in range(0, shared.shape[0], rows)]
-            return (np.concatenate([v for v, _ in parts]),
-                    np.concatenate([g for _, g in parts]) if want_grad else None)
-
         vals, grads = [], []
         for start in range(0, prefixes.shape[0], step):
             z = prefixes[start:start + step]
             for offs, _ in grown[cut:]:
                 z = _grow(z, offs)
-            if shared is None:
+            if nodes is None:
                 v, g = _bottom(prior.points, base, z, pair)
             else:
-                v, g = _bottom_separable(prior.points, base, z, nodes, pair) or grown_bottom(z)
+                v, g = _bottom_separable(prior.points, base, z, nodes, pair)
             v, g = _fold(v, logws[cut:], x_seq[cut:], g)
             vals.append(v)
             grads.append(g)

@@ -253,17 +253,6 @@ class ModifierMatrix:
         diff = self.a - np.eye(self.a.shape[0])
         return float(np.trace(diff @ self.source_overlap @ diff.T))
 
-    def to_dict(self) -> dict:
-        return {
-            "a": self.a.tolist(),
-            "source_overlap": self.source_overlap.tolist(),
-            "target": self.target.tolist(),
-            "epsilon": self.epsilon,
-            "kept_rank": self.kept_rank,
-            "residual": self.residual,
-            "distortion_trace": self.distortion_trace,
-        }
-
 
 def build_modifier(r, d, eps: float) -> ModifierMatrix:
     """Construct A with A R A^T = D_eps for a self-overlap R near D.

@@ -50,6 +50,7 @@ from .parisi import (
     _sampled_levels,
     increments,
     level_plan,
+    theta_correction,
     theta_increments,
 )
 from .prior import SpinPrior
@@ -214,8 +215,9 @@ def simulate_phi(model: MixedModel, prior: SpinPrior, lam, path: Path,
 
 
 def y_functional_closed_form(model: MixedModel, path: Path) -> float:
-    """(1/2) sum_j x_j Sum(theta(gamma_{j+1}) - theta(gamma_j))."""
-    return 0.5 * float(np.sum(path.x * theta_increments(model, path)))
+    """(1/2) sum_j x_j Sum(theta(gamma_{j+1}) - theta(gamma_j)), the theta
+    term of the full functional, ``parisi.theta_correction``."""
+    return theta_correction(model, path)
 
 
 def simulate_y_functional(model: MixedModel, path: Path, m_sites: int,

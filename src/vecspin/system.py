@@ -332,13 +332,15 @@ class PerturbationTerm:
     def total_n(self) -> int:
         return sum(self.ns)
 
-    def covariance(self, overlap_matrix) -> float:
-        """prod_j (overlap^{hadamard p} lambda_j, lambda_j)^{n_j}."""
+    def covariance(self, overlap_matrix):
+        """prod_j (overlap^{hadamard p} lambda_j, lambda_j)^{n_j}: a float for
+        one kappa x kappa overlap, an array over the leading axes of a stack
+        (..., kappa, kappa)."""
         rp = np.asarray(overlap_matrix, dtype=float) ** self.p
         out = 1.0
         for n_j, lam in zip(self.ns, self.lambdas):
-            out *= float(lam @ rp @ lam) ** n_j
-        return out
+            out = out * np.einsum("...kl,k,l->...", rp, lam, lam) ** n_j
+        return float(out) if np.ndim(out) == 0 else out
 
 
 @dataclass(frozen=True)
@@ -493,10 +495,6 @@ class GGResult:
     std_error: float
     components: dict
 
-    def to_dict(self) -> dict:
-        return {"delta": self.delta, "std_error": self.std_error,
-                "components": self.components}
-
 
 def _modified_configs(configs: np.ndarray, d: np.ndarray, eps: float) -> np.ndarray:
     """Apply the overlap-fixing modifier to every configuration.
@@ -573,10 +571,7 @@ def gg_discrepancy(model: MixedModel, prior: SpinPrior, spec: PerturbationSpec,
     modified = _modified_configs(configs, d, eps)
     field = _perturbation_field(spec, prior, modified)
     pair_overlap = np.einsum("aik,bil->abkl", modified, modified) / n_sites
-    c_matrix = np.ones((n_cfg, n_cfg))
-    rp = pair_overlap**term.p
-    for n_j, lam in zip(term.ns, term.lambdas):
-        c_matrix *= np.einsum("abkl,k,l->ab", rp, lam, lam) ** n_j
+    c_matrix = term.covariance(pair_overlap)
 
     # f evaluated once on the full tuple grid (draw independent); the draws
     # read only the contiguous f_vals, so the grid is freed before them

@@ -325,18 +325,17 @@ class TestEvalPhi:
         assert np.array_equal(_bottom(prior.points, base, z)[0], want)
         # the separable innermost level, every block's children one product:
         # 1 atom (4 to 64 blocks a call) and 64 atoms at kappa = 2 (1 to 8)
-        fallbacks = []
+        calls = []
         real = _bottom_separable
 
         def spy(*args):
-            out = real(*args)
-            fallbacks.append(out is None)
-            return out
+            calls.append(1)
+            return real(*args)
 
         monkeypatch.setattr("vecspin.parisi._bottom_separable", spy)
 
         def matches_whole_grid(m, prior, lam, path, nodes):
-            fallbacks.clear()
+            calls.clear()
             v, g, _ = whole_grid(m, prior, lam, path, nodes)
             spec = EvalSpec(nodes_per_level=nodes)
             assert eval_phi(m, prior, lam, path, spec)[0] == pytest.approx(v, rel=1e-13)
@@ -354,23 +353,24 @@ class TestEvalPhi:
                 monkeypatch.setattr("vecspin.parisi.BLOCK_ENTRIES", block)
                 monkeypatch.setattr("vecspin.parisi.SEPARABLE_SPREAD", SEPARABLE_SPREAD)
                 v, g = matches_whole_grid(m, prior, lam, path, nodes)
-                assert fallbacks and not any(fallbacks)
-                # the guard at 0: every block grows its children instead
+                assert calls
+                # the limit at 0: the walk grows every level instead
                 monkeypatch.setattr("vecspin.parisi.SEPARABLE_SPREAD", 0.0)
                 gv, gg = matches_whole_grid(m, prior, lam, path, nodes)
-                assert fallbacks and all(fallbacks)
+                assert not calls
                 assert gv == pytest.approx(v, rel=1e-13)
                 np.testing.assert_allclose(gg, g, rtol=1e-13, atol=0)
         monkeypatch.setattr("vecspin.parisi.BLOCK_ENTRIES", BLOCK_ENTRIES)
         monkeypatch.setattr("vecspin.parisi.SEPARABLE_SPREAD", SEPARABLE_SPREAD)
-        # a large field (beta = 20, D = 1): on its own, the guard sends 2 of
-        # the 4 eval_phi blocks and 2 of the 8 phi_grad_lambda blocks to the
-        # grown path
-        m = MixedModel(1, {2: [20.0]})
+        # a large field (D = 1, 3 atoms, 4 levels at 16 nodes): the walk's
+        # bound on the spread stays below the limit at beta = 18.8 and reaches
+        # it at beta = 19 and 20, where every level grows
         prior = SpinPrior(np.array([[-1.0], [0.2], [1.0]]), np.array([0.3, 0.3, 0.4]))
         path = Path(np.linspace(0.2, 0.8, 4), np.linspace(0.25, 1.0, 4)[:, None, None])
-        matches_whole_grid(m, prior, random_lambda(rng, 1), path, 16)
-        assert 0 < sum(fallbacks) < len(fallbacks)
+        lam = random_lambda(rng, 1)
+        for beta, separable in ((20.0, False), (18.8, True), (19.0, False)):
+            matches_whole_grid(MixedModel(1, {2: [beta]}), prior, lam, path, 16)
+            assert bool(calls) == separable
 
     def test_quadrature_memory_is_one_block(self):
         import tracemalloc
@@ -434,6 +434,12 @@ class TestEvalPhi:
         for call in calls:
             with pytest.raises(ValidationError, match="external_field"):
                 call()
+
+    @pytest.mark.parametrize("kappa, z_sum", [(1, [0.0, 1.0]), (2, 0.3), (1, [np.nan])],
+                             ids=["wrong_length", "scalar", "nan"])
+    def test_z_sum_validated(self, kappa, z_sum):
+        with pytest.raises(ValidationError, match="z_sum"):
+            eval_inner(ising_prior(kappa), lambda_zero(kappa), z_sum)
 
     def test_negative_seed_rejected(self):
         with pytest.raises(ValidationError, match="seed"):
