@@ -364,12 +364,14 @@ class TestEvalPhi:
         monkeypatch.setattr("vecspin.parisi.SEPARABLE_SPREAD", SEPARABLE_SPREAD)
         # a large field (D = 1, 3 atoms, 4 levels at 16 nodes): the walk's
         # bound on the spread stays below the limit at beta = 18.8 and reaches
-        # it at beta = 19 and 20, where every level grows
+        # it at beta = 19 and 20, where every level grows; so it does at 18.8
+        # once lambda + 5 widens the atoms' constant term by 4.8
         prior = SpinPrior(np.array([[-1.0], [0.2], [1.0]]), np.array([0.3, 0.3, 0.4]))
         path = Path(np.linspace(0.2, 0.8, 4), np.linspace(0.25, 1.0, 4)[:, None, None])
         lam = random_lambda(rng, 1)
-        for beta, separable in ((20.0, False), (18.8, True), (19.0, False)):
-            matches_whole_grid(MixedModel(1, {2: [beta]}), prior, lam, path, 16)
+        for beta, shift, separable in ((20.0, 0.0, False), (18.8, 0.0, True),
+                                       (19.0, 0.0, False), (18.8, 5.0, False)):
+            matches_whole_grid(MixedModel(1, {2: [beta]}), prior, lam + shift, path, 16)
             assert bool(calls) == separable
 
     def test_quadrature_memory_is_one_block(self):
