@@ -33,8 +33,9 @@ PSD_TOL = 1e-10
 SYM_TOL = 1e-12
 
 
-def validate_gram(a, name: str = "matrix") -> np.ndarray:
-    """Check that ``a`` is square, symmetric and PSD up to ``PSD_TOL``.
+def validate_gram(a, name: str = "matrix", kappa: int | None = None) -> np.ndarray:
+    """Check that ``a`` is square (kappa x kappa, if given), symmetric and
+    PSD up to ``PSD_TOL``.
 
     Returns the validated array as float64.  Raises ValidationError with a
     diagnostic naming the offending eigenvalue otherwise.
@@ -42,6 +43,8 @@ def validate_gram(a, name: str = "matrix") -> np.ndarray:
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValidationError(f"{name} must be square, got shape {a.shape}")
+    if kappa is not None and a.shape != (kappa, kappa):
+        raise ValidationError(f"{name} must have shape ({kappa}, {kappa}), got {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValidationError(f"{name} has non-finite entries")
     if np.max(np.abs(a - a.T), initial=0.0) > SYM_TOL:

@@ -43,7 +43,7 @@ is point c * parents + p, so the innermost level's child index runs
 slowest.  They are scored by one atom-major bottom-layer kernel
 (``_bottom``) and collapse by one fold, which reduces each level as the
 leading axis of a contiguous (n, rest) view (``_fold``); the cascade
-estimators in ``rpc`` share ``_grow``, ``_sampled_levels`` and ``_bottom``.
+estimator in ``rpc`` shares ``_grow``, ``_sampled_levels`` and ``_scores``.
 
 The innermost quadrature level is not grown: the field enters linearly,
 so atom a at child c of parent q scores A[a, q] + B[a, c], B from the
@@ -152,9 +152,7 @@ def lambda_validate(lam, kappa: int) -> np.ndarray:
 
 def lambda_pairing(lam, d) -> float:
     """sum_{k<=k'} lam_{k,k'} d_{k,k'}."""
-    d = np.asarray(d, dtype=float)
-    iu = lambda_indices(d.shape[0])
-    return float(np.asarray(lam, dtype=float) @ d[iu])
+    return float(np.asarray(lam, dtype=float) @ upper_entries(d))
 
 
 def lambda_norm1(lam) -> float:
@@ -164,8 +162,7 @@ def lambda_norm1(lam) -> float:
 def upper_entries(d) -> np.ndarray:
     """Upper-triangle entries of a symmetric matrix in the lambda layout."""
     d = np.asarray(d, dtype=float)
-    iu = lambda_indices(d.shape[0])
-    return d[iu].copy()
+    return d[lambda_indices(d.shape[0])]
 
 
 def _atom_pair_products(prior: SpinPrior) -> np.ndarray:
@@ -242,8 +239,9 @@ class Path:
 
     def value_at(self, t: float) -> np.ndarray:
         """Left-continuous step value pi(t) for t in [0, 1]."""
-        fullx = np.append(self.x, 1.0)
-        j = int(np.searchsorted(fullx, t, side="left"))
+        if not 0.0 <= t <= 1.0:
+            raise ValidationError(f"t must lie in [0, 1], got {t}")
+        j = int(np.searchsorted(self.x, t, side="left"))
         return self.gammas_full()[j]
 
     def to_dict(self) -> dict:
@@ -487,7 +485,7 @@ def _bottom(points: np.ndarray, base: np.ndarray, z: np.ndarray, pair=None):
     along axis 0 into the per-point log of the weighted atom sum.  With
     ``pair`` (n_atoms, C) it also returns the per-point Gibbs averages of
     the pair products, (P, C), the bottom of the lambda gradient; else None.
-    It scores grown points: sampled trees, ``eval_inner``'s field, and
+    It scores grown points: Monte Carlo trees, ``eval_inner``'s field, and
     quadrature walks that are not separable.
     """
     # in place: with fewer (n_atoms, P) temporaries, a block's freed memory stays
@@ -643,8 +641,9 @@ def _sampled_levels(factors, n, rng):
 def _grow(z, offsets):
     """Every point of z plus each offset of its children, node-major: point
     c * len(z) + p is child c of parent p, (n * len(z), kappa).  ``offsets``
-    is a level's: an (n, 1, kappa) array every parent shares, or a callable
-    that draws (n, parents, kappa)."""
+    is a level's: an array of shape (n, 1, kappa) that every parent shares,
+    or (n, parents, kappa) with offsets per parent (``rpc.sample_cascade``'s
+    log-weights), or a callable that draws (n, parents, kappa)."""
     offs = offsets(z.shape[0]) if callable(offsets) else offsets
     # C order: sampled offsets are a transposed view, and reshaping a
     # transposed sum would copy it far more slowly
@@ -827,7 +826,6 @@ def eval_parisi(model, prior, lam, d, path: Path, spec: EvalSpec,
     The declared constraint ``d`` must equal the path endpoint.  Both forms
     of the deterministic theta term are computed and must agree to 1e-10.
     """
-    d = np.asarray(d, dtype=float)
     if not np.array_equal(d, path.endpoint):
         raise ValidationError("constraint matrix D must equal the path endpoint")
     t_direct = theta_correction(model, path)
@@ -874,10 +872,10 @@ def phi_star(model, prior, d, path: Path, spec: EvalSpec,
     The objective is convex (log-sum-exp composed through the recursion
     preserves convexity in lambda), so plain gradient descent with Armijo
     backtracking is reliable.  Returns the best iterate with a flag when
-    the budget runs out first.
+    the budget runs out first.  ``d`` must be a kappa x kappa Gram matrix.
     """
     opt = opt or OptimizerSpec()
-    d = np.asarray(d, dtype=float)
+    d = validate_gram(d, name="constraint matrix D", kappa=prior.kappa)
     d_upper = upper_entries(d)
     lam = lambda_zero(prior.kappa) if lam0 is None else lambda_validate(lam0, prior.kappa)
 

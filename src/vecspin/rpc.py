@@ -19,15 +19,16 @@ sum along its path, which realizes covariances that depend on two leaves
 only through their common-ancestor depth.  They grow by the Monte Carlo
 node rule, ``parisi._grow`` over ``parisi._sampled_levels`` with the fanout
 as child count; the scalar field's levels have 1 x 1 factors sqrt(y_j).
-Weights and fields share ``_grow``'s node-major leaf order: the root's
-child index runs fastest and the deepest child index slowest
-(``CascadeTree.leaf_coordinates``).
+The log-weights grow by ``_grow`` too, so weights and fields share one
+node-major leaf order: the root's child index runs fastest and the deepest
+child index slowest (``CascadeTree.leaf_coordinates``).
 
-Boundary x values cannot be simulated directly, so the functional
-estimators read the level plan of ``parisi.level_plan`` (described in that
-module's docstring): the lead (x = 0) field is drawn once per replication
-and shared by every leaf, the trail (x = 1) levels enter the leaf integrand
-in closed form, and the tree has one depth per merged interior level.
+Boundary x values cannot be simulated directly, so the one estimator,
+``_cascade``, reads the level plan of ``parisi.level_plan`` (described in
+that module's docstring): the lead (x = 0) field is drawn at the root, the
+trail (x = 1) levels enter each atom's base in closed form, the tree has
+one depth per merged interior level, and a replication reduces leaves x
+atoms in one log-sum-exp.  The Y functional is its one-atom case.
 """
 from __future__ import annotations
 
@@ -41,13 +42,13 @@ from .mixing import MixedModel
 from .parisi import (
     Path,
     _atom_base,
-    _bottom,
     _check_budget,
     _grow,
     _logsumexp,
     _plan_factors,
     _psd_factor,
     _sampled_levels,
+    _scores,
     increments,
     level_plan,
     theta_correction,
@@ -85,6 +86,8 @@ class CascadeTree:
     def leaf_coordinates(self, leaf: int) -> tuple[int, ...]:
         """Child index at each depth, root first: the base-fanout digits of
         the leaf index, least significant first."""
+        if not 0 <= leaf < self.n_leaves:
+            raise ValidationError(f"leaf must lie in [0, {self.n_leaves}), got {leaf}")
         digits = []
         for _ in range(self.depth):
             leaf, d = divmod(leaf, self.fanout)
@@ -130,16 +133,15 @@ def sample_cascade(x, fanout: int, seed) -> CascadeTree:
     """
     x = _validate_cascade_x(x)
     _check_fanout(fanout)
+    _check_budget(fanout ** x.size, 1, "cascade tree")
     rng = seed if isinstance(seed, np.random.Generator) else spawn_rng(int(seed))
-    logw = np.zeros(1)
+    logw = np.zeros((1, 1))
     for zeta in x:
-        parents = logw.size
-        arrivals = rng.exponential(size=(parents, fanout)).cumsum(axis=1)
-        child_log = -np.log(arrivals) / zeta
-        # node-major and in C order, as ``parisi._grow`` grows the fields
-        logw = np.add(child_log.T, logw, order="C").reshape(-1)
-    logw = logw - _logsumexp(logw)
-    return CascadeTree(x, int(fanout), logw)
+        arrivals = rng.exponential(size=(logw.shape[0], fanout)).cumsum(axis=1)
+        # the parents' arrivals are drawn parent-major, and grow node-major
+        logw = _grow(logw, (-np.log(arrivals) / zeta).T[:, :, None])
+    logw = logw.reshape(-1)
+    return CascadeTree(x, int(fanout), logw - _logsumexp(logw))
 
 
 @dataclass(frozen=True)
@@ -155,8 +157,9 @@ class TreeGaussianField:
 
 
 def _scalar_factors(variances) -> list[np.ndarray]:
-    """1 x 1 factors sqrt(v) of scalar level variances."""
-    return [np.array([[math.sqrt(v)]]) for v in variances]
+    """Factors of scalar level variances, as ``parisi._psd_factor`` gives
+    them: 1 x 1 sqrt(v), or 1 x 0 for v = 0, which draws nothing."""
+    return [np.full((1, int(v > 0)), math.sqrt(v)) for v in variances]
 
 
 def sample_fields(tree: CascadeTree, model: MixedModel, path: Path,
@@ -185,6 +188,29 @@ def sample_fields(tree: CascadeTree, model: MixedModel, path: Path,
 # functional estimators on the level plan
 
 
+def _cascade(x, factors, points, base, fanout, replications, seed, threads):
+    """(mean, std_error) of log sum_{leaf, atom} v_leaf exp(<sigma, z_leaf>
+    + base) over replications: the lead factor is drawn at the root, then
+    the weight tree on ``x``, then the field on the other ``factors``."""
+    _check_fanout(fanout)
+    check_replications(replications)
+    _check_budget(fanout ** len(x), max(points.shape), "cascade tree")
+    lead, *core = factors
+
+    def one(rep: int) -> float:
+        rng = spawn_rng(seed, rep)
+        z = rng.standard_normal((1, lead.shape[1])) @ lead.T
+        logw = sample_cascade(x, fanout, rng).log_weights if len(x) else np.zeros(1)
+        for offs, _ in _sampled_levels(core, fanout, rng):
+            z = _grow(z, offs)
+        scores = _scores(points, z)
+        scores += base[:, None]
+        scores += logw
+        return float(_logsumexp(scores.reshape(-1)))
+
+    return mean_and_se(parallel_map(one, replications, threads))
+
+
 def simulate_phi(model: MixedModel, prior: SpinPrior, lam, path: Path,
                  fanout: int = 128, replications: int = 200, seed: int = 0,
                  threads: int = 1, external_field=None) -> tuple[float, float]:
@@ -195,23 +221,10 @@ def simulate_phi(model: MixedModel, prior: SpinPrior, lam, path: Path,
     levels become a shared field draw; trailing x = 1 levels fold into the
     integrand exactly.  ``fanout`` must be >= 2 whatever the level plan.
     """
-    _check_fanout(fanout)
-    check_replications(replications)
-    x_seq, (lead_f, *core_f), bonus = _plan_factors(model, prior, path)
-    _check_budget(fanout ** len(core_f), max(prior.n_atoms, path.kappa), "cascade tree")
+    x_seq, factors, bonus = _plan_factors(model, prior, path)
     base = _atom_base(prior, lam, external_field, bonus)
-
-    def one(rep: int) -> float:
-        rng = spawn_rng(seed, rep)
-        z0 = rng.standard_normal(lead_f.shape[1]) @ lead_f.T
-        logw = sample_cascade(x_seq[1:], fanout, rng).log_weights if core_f else np.zeros(1)
-        z = np.zeros((1, path.kappa))
-        for offs, _ in _sampled_levels(core_f, fanout, rng):
-            z = _grow(z, offs)
-        vals, _ = _bottom(prior.points, base, z0[None, :] + z)
-        return float(_logsumexp(logw + vals))
-
-    return mean_and_se(parallel_map(one, replications, threads))
+    return _cascade(x_seq[1:], factors, prior.points, base, fanout, replications,
+                    seed, threads)
 
 
 def y_functional_closed_form(model: MixedModel, path: Path) -> float:
@@ -223,36 +236,22 @@ def y_functional_closed_form(model: MixedModel, path: Path) -> float:
 def simulate_y_functional(model: MixedModel, path: Path, m_sites: int,
                           fanout: int = 128, replications: int = 200,
                           seed: int = 0, threads: int = 1) -> tuple[float, float]:
-    """Estimate (1/M) E log sum_leaves v exp(sqrt(M) Y) on the cascade.
+    """Estimate (1/M) E log sum_leaves v exp(sqrt(M) Y) on the cascade, as
+    ``_cascade`` for one atom at sqrt(M) with base M y_trail / 2.
 
     The closed form is ``y_functional_closed_form``; the identity holds for
     every M on the untruncated tree, so the deviation measures truncation
     bias plus sampling noise.  ``fanout`` must be >= 2 whatever the level
     plan.
     """
-    _check_fanout(fanout)
     if m_sites <= 0:
         raise ValidationError("m_sites must be positive")
-    check_replications(replications)
     plan = level_plan(model, path)
-    _check_budget(fanout ** plan.x.size, 1, "cascade tree")
-    root_m = math.sqrt(m_sites)
-    trail_term = 0.5 * plan.y_trail
-
-    def one(rep: int) -> float:
-        rng = spawn_rng(seed, rep)
-        y0 = math.sqrt(plan.y_lead) * rng.standard_normal() if plan.y_lead > 0 else 0.0
-        if plan.x.size:
-            tree = sample_cascade(plan.x, fanout, rng)
-            y = np.zeros((1, 1))
-            for offs, _ in _sampled_levels(_scalar_factors(plan.y), fanout, rng):
-                y = _grow(y, offs)
-            inner = float(_logsumexp(tree.log_weights + root_m * y[:, 0]))
-        else:
-            inner = 0.0
-        return (root_m * y0 + inner) / m_sites + trail_term
-
-    return mean_and_se(parallel_map(one, replications, threads))
+    value, se = _cascade(plan.x, _scalar_factors([plan.y_lead, *plan.y]),
+                         np.array([[math.sqrt(m_sites)]]),
+                         np.array([0.5 * m_sites * plan.y_trail]),
+                         fanout, replications, seed, threads)
+    return value / m_sites, se / m_sites
 
 
 @dataclass(frozen=True)

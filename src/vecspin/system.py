@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetError, InfeasibleError, ValidationError, as_int
-from .mixing import MixedModel
+from .mixing import MixedModel, validate_gram
 from .prior import SpinPrior, build_modifier, self_overlap
 from .rng import check_replications, mean_and_se, parallel_map, spawn_rng
 
@@ -223,9 +223,10 @@ def _constrained_configs(prior: SpinPrior, n_sites: int, d: np.ndarray, eps: flo
     """Configurations whose self-overlap is within eps of ``d`` in sup norm.
 
     Returns (configs, log prior masses, hit fraction), the last the share of
-    the prior mass the constraint keeps; raises InfeasibleError when no
-    configuration qualifies.
+    the prior mass the constraint keeps; raises ValidationError unless ``d``
+    is kappa x kappa Gram, InfeasibleError when no configuration qualifies.
     """
+    d = validate_gram(d, name="constraint matrix D", kappa=prior.kappa)
     configs, logw = enumerate_configs(prior, n_sites)
     overlaps = np.einsum("aik,ail->akl", configs, configs) / n_sites
     mask = np.max(np.abs(overlaps - d), axis=(1, 2)) < eps
@@ -284,7 +285,6 @@ def constrained_free_energy(model: MixedModel, prior: SpinPrior, n_sites: int,
 
     ``hit_fraction`` is the prior mass the constraint retains.
     """
-    d = np.asarray(d, dtype=float)
     configs, logw, hit = _constrained_configs(prior, n_sites, d, eps)
     return _free_energy(model, configs, logw, n_disorder, seed, threads, hit)
 
@@ -560,7 +560,6 @@ def gg_discrepancy(model: MixedModel, prior: SpinPrior, spec: PerturbationSpec,
     if n_replicas < 2:
         raise ValidationError("the identity needs n >= 2 replicas")
     check_replications(n_disorder)
-    d = np.asarray(d, dtype=float)
     configs, logw, _ = _constrained_configs(prior, n_sites, d, eps)
     n_cfg, _, kappa = configs.shape
     if n_cfg**n_replicas * (n_replicas * kappa) ** 2 > BUDGET:

@@ -293,6 +293,18 @@ class TestExitCodes:
         bad = FE_CONFIG.replace("d: [[1.0]]", "d: [[0.0]]")
         assert main(["fe-constrained", "--config", write(tmp_path, bad, "inf.yaml")]) == 4
 
+    @pytest.mark.parametrize("command,config,d", [
+        ("phistar", SK_CONFIG, "[[1.0, 0.0], [0.0, 1.0]]"),
+        ("fe-constrained", FE_CONFIG, "[[1.0, 0.0], [0.0, 1.0]]"),
+        ("gg", FE_CONFIG, "[[1.0, 0.0], [0.0, 1.0]]"),
+        ("fe-constrained", FE_CONFIG, "[[.nan]]"),
+        ("gg", FE_CONFIG, "[[-1.0]]"),
+    ], ids=["phistar-2x2", "fe-constrained-2x2", "gg-2x2", "fe-constrained-nan", "gg-negative"])
+    def test_malformed_constraint_matrix(self, command, config, d, tmp_path, capsys):
+        bad = write(tmp_path, config.replace("d: [[1.0]]", f"d: {d}"), "d.yaml")
+        assert main([command, "--config", bad]) == 3
+        assert "constraint matrix D" in capsys.readouterr().err
+
     def test_zero_disorder_draws(self, tmp_path, capsys):
         cfg = write(tmp_path, FE_CONFIG.replace("n_disorder: 40", "n_disorder: 0"))
         for command in ("fe", "fe-constrained", "cov-check", "gg"):

@@ -120,6 +120,11 @@ class TestPathValidation:
         np.testing.assert_array_equal(p.value_at(0.3), [[0.0]])
         np.testing.assert_array_equal(p.value_at(0.5), [[0.0]])
         np.testing.assert_array_equal(p.value_at(0.7), [[1.0]])
+        two = Path([0.4, 0.8], [[[0.5]], [[1.0]]])
+        np.testing.assert_array_equal(two.value_at(1.0), [[1.0]])
+        for t in (1.5, -0.5, math.nan):
+            with pytest.raises(ValidationError, match="t must lie"):
+                two.value_at(t)
 
     def test_round_trip_dict(self):
         p = Path([0.4, 0.9], [np.diag([0.2, 0.1]), np.diag([0.6, 0.5])])
@@ -632,6 +637,12 @@ class TestPhiStar:
         assert res.converged
         _, grad = phi_grad_lambda(m, prior, res.lam, path, QUAD)
         np.testing.assert_allclose(grad, [0.5], atol=1e-6)
+
+    def test_malformed_constraint_rejected(self):
+        path = Path([0.5], [[[1.0]]])
+        for d in (np.eye(2), [[math.nan]], [[-1.0]], [1.0]):
+            with pytest.raises(ValidationError, match="constraint matrix D"):
+                phi_star(SK_HALF, PROB_ISING, d, path, QUAD)
 
 
 class TestGuerraBound:

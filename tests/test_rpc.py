@@ -1,9 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import vecspin.parisi
 from vecspin import (
+    BudgetError,
     EvalSpec,
     MixedModel,
     Path,
@@ -66,6 +69,23 @@ class TestCascade:
         assert tree.leaf_coordinates(0) == (0, 0)
         # node-major: leaf 5 = 2 + 3 * 1 is child 1 of the root's child 2
         assert tree.leaf_coordinates(5) == (2, 1)
+        assert tree.leaf_coordinates(8) == (2, 2)
+        for leaf in (9, -1):
+            with pytest.raises(ValidationError, match="leaf"):
+                tree.leaf_coordinates(leaf)
+
+    def test_tree_budget_refused_before_drawing(self, monkeypatch):
+        # 64^2 = 4,096 leaves against a budget of 1,000: refused before the
+        # 32 KiB second level is drawn
+        monkeypatch.setattr(vecspin.parisi, "MAX_ENTRIES", 1000)
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetError, match="cascade tree"):
+                sample_cascade([0.3, 0.6], 64, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 64**2 // 2
 
 
 class TestAncestorDepth:
@@ -208,6 +228,25 @@ class TestYFunctional:
         value, se = simulate_y_functional(SK_HALF, path, 20, fanout=128,
                                           replications=300, seed=11)
         assert abs(value - 0.0625) <= 3.0 * se
+
+    def test_trail_level_is_exact(self):
+        # x = (1,): no tree and no lead draw; the trail term is the whole value
+        path = Path([1.0], [[[1.0]]])
+        value, se = simulate_y_functional(SK_HALF, path, 20, fanout=32,
+                                          replications=6, seed=12)
+        assert value == pytest.approx(y_functional_closed_form(SK_HALF, path), abs=1e-15)
+        assert se == 0.0
+
+    def test_lead_interior_and_trail_levels(self):
+        """x = (0, 0.5, 1): the lead draw, one tree level and the trail term.
+
+        A 3-s.e. check on 400 replications: its nominal false-alarm rate is
+        0.27% (normal tails), before the fanout's truncation bias."""
+        path = Path([0.0, 0.5, 1.0], [[[0.3]], [[0.6]], [[1.0]]])
+        value, se = simulate_y_functional(SK_HALF, path, 20, fanout=128,
+                                          replications=400, seed=13)
+        assert se > 0.0
+        assert abs(value - y_functional_closed_form(SK_HALF, path)) <= 3.0 * se
 
     def test_x_to_one_trend(self):
         # closed form rises toward Sum(theta(D))/2 as the single x grows

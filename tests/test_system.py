@@ -142,6 +142,16 @@ class TestConstrainedFreeEnergy:
             gg_discrepancy(m, PROB_ISING, PerturbationSpec(), 4, d, 0.5, 2,
                            lambda rn: rn[..., 0, 1, 0, 0], term, 5, seed=1)
 
+    def test_malformed_constraint_rejected(self):
+        m = MixedModel(1, {2: [0.3]})
+        term = PerturbationTerm(p=1, ns=(1,), lambdas=np.array([[1.0]]))
+        for d in (np.eye(2), np.array([[math.nan]]), np.array([[-1.0]])):
+            with pytest.raises(ValidationError, match="constraint matrix D"):
+                constrained_free_energy(m, PROB_ISING, 4, d, 0.5, 5, seed=1)
+            with pytest.raises(ValidationError, match="constraint matrix D"):
+                gg_discrepancy(m, PROB_ISING, PerturbationSpec(), 4, d, 0.5, 2,
+                               lambda rn: rn[..., 0, 1, 0, 0], term, 5, seed=1)
+
     def test_restriction_never_gains(self):
         m = MixedModel(2, {2: [0.3, 0.2]})
         prior = SpinPrior.from_atoms([([1.0, 0.0], 0.5), ([0.0, 1.0], 0.5)])
