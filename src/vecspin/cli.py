@@ -20,7 +20,7 @@ import yaml
 
 from . import parisi, rpc, system
 from .errors import BudgetError, InfeasibleError, NumericalError, ValidationError, as_int
-from .mixing import MixedModel, hamiltonian_covariance
+from .mixing import MixedModel, hamiltonian_covariance, validate_gram
 from .prior import ConstraintHull, SpinPrior, hull_membership
 from .rng import spawn_rng
 
@@ -223,27 +223,29 @@ def _cmd_validate(cfg, args):
                 )
     if "lambda" in cfg:
         build_lambda(cfg, model.kappa)
+    if _section(cfg, "constraint", required=False).get("d") is not None:
+        d, _ = _constraint(cfg)
+        validate_gram(d, "constraint matrix D", kappa=model.kappa)
     if "perturbation" in cfg:
         build_perturbation(cfg)
     return {"value": None, "components": components, "warnings": warnings}
 
 
-def _cmd_phi(cfg, args):
+def _recursion_inputs(cfg, args):
+    """(model, prior, path, lambda, eval spec) of a config, built in that order."""
     model = build_model(cfg)
-    prior = build_prior(cfg, model.kappa)
-    path = build_path(cfg, model.kappa)
-    lam = build_lambda(cfg, model.kappa)
-    spec = build_eval_spec(cfg, args)
+    return (model, build_prior(cfg, model.kappa), build_path(cfg, model.kappa),
+            build_lambda(cfg, model.kappa), build_eval_spec(cfg, args))
+
+
+def _cmd_phi(cfg, args):
+    model, prior, path, lam, spec = _recursion_inputs(cfg, args)
     value, se = parisi.eval_phi(model, prior, lam, path, spec)
     return {"value": value, "std_error": se, "backend": spec.backend}
 
 
 def _cmd_parisi(cfg, args):
-    model = build_model(cfg)
-    prior = build_prior(cfg, model.kappa)
-    path = build_path(cfg, model.kappa)
-    lam = build_lambda(cfg, model.kappa)
-    spec = build_eval_spec(cfg, args)
+    model, prior, path, lam, spec = _recursion_inputs(cfg, args)
     d, _ = _constraint(cfg, path)
     res = parisi.eval_parisi(model, prior, lam, d, path, spec)
     comp = res.to_dict()
@@ -282,11 +284,7 @@ def _cmd_optimize(cfg, args):
 
 
 def _cmd_rpc_check(cfg, args):
-    model = build_model(cfg)
-    prior = build_prior(cfg, model.kappa)
-    path = build_path(cfg, model.kappa)
-    lam = build_lambda(cfg, model.kappa)
-    spec = build_eval_spec(cfg, args)
+    model, prior, path, lam, spec = _recursion_inputs(cfg, args)
     sec = _section(cfg, "rpc", required=False)
     fanout = _get(sec, "fanout", "rpc", default=128, cast=as_int)
     reps = _get(sec, "replications", "rpc", default=200, cast=as_int)

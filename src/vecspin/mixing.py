@@ -114,13 +114,18 @@ class MixedModel:
         return out
 
 
-def _check_shape(model: MixedModel, a: np.ndarray) -> np.ndarray:
+def _series(model: MixedModel, a, coef, power) -> np.ndarray:
+    """sum_p coef(p) a∘power(p) ∘ (beta_p beta_p^T), entrywise over kappa x
+    kappa matrices (..., kappa, kappa): a stack is one call, one array
+    operation per p."""
     a = np.asarray(a, dtype=float)
-    if a.shape != (model.kappa, model.kappa):
+    if a.shape[-2:] != (model.kappa, model.kappa):
         raise ValidationError(
-            f"expected a {model.kappa}x{model.kappa} matrix, got shape {a.shape}"
-        )
-    return a
+            f"expected {model.kappa}x{model.kappa} matrices, got shape {a.shape}")
+    out = np.zeros_like(a)
+    for p, beta in model.coefficients.items():
+        out += coef(p) * a ** power(p) * np.outer(beta, beta)
+    return out
 
 
 def xi_matrix(model: MixedModel, a) -> np.ndarray:
@@ -128,29 +133,17 @@ def xi_matrix(model: MixedModel, a) -> np.ndarray:
 
     The input need not be PSD; cross-overlap blocks are valid arguments.
     """
-    a = _check_shape(model, a)
-    out = np.zeros_like(a)
-    for p, beta in model.coefficients.items():
-        out += a**p * np.outer(beta, beta)
-    return out
+    return _series(model, a, lambda p: 1, lambda p: p)
 
 
 def xi_prime_matrix(model: MixedModel, a) -> np.ndarray:
     """Entrywise xi': sum_p p a∘(p-1) ∘ (beta_p beta_p^T)."""
-    a = _check_shape(model, a)
-    out = np.zeros_like(a)
-    for p, beta in model.coefficients.items():
-        out += p * a ** (p - 1) * np.outer(beta, beta)
-    return out
+    return _series(model, a, lambda p: p, lambda p: p - 1)
 
 
 def theta_matrix(model: MixedModel, a) -> np.ndarray:
     """Entrywise theta: sum_p (p-1) a∘p ∘ (beta_p beta_p^T)."""
-    a = _check_shape(model, a)
-    out = np.zeros_like(a)
-    for p, beta in model.coefficients.items():
-        out += (p - 1) * a**p * np.outer(beta, beta)
-    return out
+    return _series(model, a, lambda p: p - 1, lambda p: p)
 
 
 def sum_all(a) -> float:

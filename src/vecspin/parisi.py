@@ -28,7 +28,9 @@ x = 0 levels sum into one "lead" covariance, a plain expectation; interior
 levels with equal x merge (covariances add); trailing x = 1 levels sum into
 one "trail" covariance C, integrated in closed form, since
 E exp(<sigma, z>) = exp(sigma^T C sigma / 2) moves into each atom's weight
-(``_quad_bonus``).  The plan also carries the matching theta-sum variances.
+(``_quad_bonus``).  The plan also carries the theta sums, their matching
+variances and the level factors.  It is built in one pass and is free of
+lambda, so the recursion is prepared once per path (``_Prepared``).
 
 Two evaluation backends share one walk.  A level is a pair (offsets,
 log-weights).  Quadrature gives every parent one tensor Gauss-Hermite
@@ -53,13 +55,8 @@ its own offsets, so Monte Carlo and the cascades have no shared B and grow
 every level; so does a quadrature walk whose product could underflow, as
 one bound taken from its levels decides (``_shared_nodes``).
 
-``MAX_ENTRIES`` bounds work: both backends raise ``BudgetError`` before
-allocating when points times the widest per-point array would exceed it.
-Memory is bounded by a block for both: the walk visits the grid or tree in
-blocks of at most ``BLOCK_ENTRIES`` entries and folds each block before the
-next, so only per-block arrays, exp(B), and one value per outer point are
-held; a block that grows every level holds at least one innermost level.
-Monte Carlo draws follow the walk, the outer levels whole and then each
+Work and memory are bounded as ``EvalSpec`` describes.  Monte Carlo draws
+follow the walk (``_Prepared``), the outer levels whole and then each
 block's inner levels, each level parent by parent in the node-major order
 of its parents; so splitting more than the innermost level over blocks
 changes the draws.
@@ -71,7 +68,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -79,7 +76,6 @@ from .errors import BudgetError, NumericalError, ValidationError
 from .mixing import (
     PSD_TOL,
     MixedModel,
-    sum_all,
     theta_matrix,
     validate_gram,
     xi_prime_matrix,
@@ -202,20 +198,15 @@ class Path:
             raise ValidationError(
                 f"gammas must be (r, kappa, kappa) with r={x.size}, got {gam.shape}"
             )
-        prev = np.zeros_like(gam[0])
         for j in range(gam.shape[0]):
             validate_gram(gam[j], name=f"gamma_{j + 1}")
-            step = gam[j] - prev
+            step = gam[j] - (gam[j - 1] if j else 0.0)
             lo = float(np.linalg.eigvalsh((step + step.T) / 2.0)[0])
             if lo < -PSD_TOL:
                 raise ValidationError(
-                    f"path is not monotone: increment {j + 1} has eigenvalue {lo:.3e}"
-                )
-            prev = gam[j]
-        x = x.copy()
-        gam = gam.copy()
-        x.flags.writeable = False
-        gam.flags.writeable = False
+                    f"path is not monotone: increment {j + 1} has eigenvalue {lo:.3e}")
+        x, gam = x.copy(), gam.copy()
+        x.flags.writeable = gam.flags.writeable = False
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "gammas", gam)
 
@@ -233,9 +224,7 @@ class Path:
 
     def gammas_full(self) -> np.ndarray:
         """(r+1, kappa, kappa) including the implicit gamma_0 = 0."""
-        return np.concatenate(
-            [np.zeros((1, self.kappa, self.kappa)), self.gammas], axis=0
-        )
+        return np.concatenate([np.zeros((1, self.kappa, self.kappa)), self.gammas])
 
     def value_at(self, t: float) -> np.ndarray:
         """Left-continuous step value pi(t) for t in [0, 1]."""
@@ -258,14 +247,25 @@ def path_distance(path_a: Path, path_b: Path) -> float:
         raise ValidationError("paths must share the spin dimension")
     bps = np.unique(np.concatenate([[0.0], path_a.x, path_b.x, [1.0]]))
     total = 0.0
-    for a, b in zip(bps[:-1], bps[1:]):
-        if b <= a:
-            continue
+    for a, b in zip(bps[:-1], bps[1:]):  # unique, so a < b
         t = 0.5 * (a + b)
         total += (b - a) * float(
             np.sum(np.abs(path_a.value_at(t) - path_b.value_at(t)))
         )
     return total
+
+
+def _increments(model: MixedModel, path: Path) -> np.ndarray:
+    """``increments`` as one array: one xi' pass, one batched eigh."""
+    diff = np.diff(xi_prime_matrix(model, path.gammas_full()), axis=0)
+    vals, vecs = np.linalg.eigh((diff + diff.swapaxes(1, 2)) / 2.0)
+    bad = vals[:, 0] < -PSD_TOL
+    if np.any(bad):
+        j = int(np.argmax(bad))
+        raise ValidationError(
+            f"covariance increment {j + 1} is not PSD (min eigenvalue {vals[j, 0]:.3e})")
+    vals = np.clip(vals, 0.0, None)
+    return (vecs * vals[:, None, :]) @ vecs.swapaxes(1, 2)
 
 
 def increments(model: MixedModel, path: Path) -> list[np.ndarray]:
@@ -274,41 +274,31 @@ def increments(model: MixedModel, path: Path) -> list[np.ndarray]:
     Eigenvalues in [-PSD_TOL, 0) are clipped to zero; anything lower means
     the path is not monotone for this model and raises.
     """
-    out = []
-    full = path.gammas_full()
-    prev = xi_prime_matrix(model, full[0])
-    for j in range(1, full.shape[0]):
-        cur = xi_prime_matrix(model, full[j])
-        diff = cur - prev
-        diff = (diff + diff.T) / 2.0
-        vals, vecs = np.linalg.eigh(diff)
-        if vals[0] < -PSD_TOL:
-            raise ValidationError(
-                f"covariance increment {j} is not PSD (min eigenvalue {vals[0]:.3e})"
-            )
-        vals = np.clip(vals, 0.0, None)
-        out.append((vecs * vals) @ vecs.T)
-        prev = cur
-    return out
+    return list(_increments(model, path))
 
 
-def _psd_factor(cov: np.ndarray) -> np.ndarray:
-    """Factor F with F F^T = cov, keeping only non-negligible directions."""
-    cov = (cov + cov.T) / 2.0
-    vals, vecs = np.linalg.eigh(cov)
-    cut = 1e-12 * max(float(vals[-1]) if vals.size else 0.0, 1.0)
-    keep = vals > cut
-    return vecs[:, keep] * np.sqrt(vals[keep])
+def _psd_factors(covs) -> list[np.ndarray]:
+    """Factors F F^T = cov of a stack of covariances, keeping only
+    non-negligible directions; one batched eigh."""
+    covs = np.asarray(covs, dtype=float)
+    vals, vecs = np.linalg.eigh((covs + covs.swapaxes(1, 2)) / 2.0)
+    cuts = 1e-12 * np.maximum(vals[:, -1], 1.0)
+    return [v[:, keep] * np.sqrt(w[keep])
+            for v, w, keep in zip(vecs, vals, vals > cuts[:, None])]
 
 
 def theta_sums(model: MixedModel, path: Path) -> np.ndarray:
     """Sum(theta(gamma_j)) for j = 0..r, including gamma_0 = 0."""
-    return np.array([sum_all(theta_matrix(model, g)) for g in path.gammas_full()])
+    return theta_matrix(model, path.gammas_full()).sum(axis=(1, 2))
 
 
 def theta_increments(model: MixedModel, path: Path) -> np.ndarray:
     """Variance increments Sum(theta(gamma_j)) - Sum(theta(gamma_{j-1}))."""
-    diffs = np.diff(theta_sums(model, path))
+    return _theta_steps(theta_sums(model, path))
+
+
+def _theta_steps(sums: np.ndarray) -> np.ndarray:
+    diffs = np.diff(sums)
     if np.any(diffs < -1e-10):
         raise ValidationError("theta sums decrease along the path")
     return np.clip(diffs, 0.0, None)
@@ -317,8 +307,8 @@ def theta_increments(model: MixedModel, path: Path) -> np.ndarray:
 @dataclass(frozen=True)
 class LevelPlan:
     """Summed x = 0 (``lead``) and x = 1 (``trail``) covariances, merged
-    interior levels ``x`` and ``covs``, and their theta-sum variances ``y_*``.
-    """
+    interior levels ``x`` and ``covs``, their theta-sum variances ``y_*``,
+    the path's ``theta_sums`` and the lead and interior ``factors``."""
 
     lead: np.ndarray
     x: np.ndarray
@@ -327,14 +317,19 @@ class LevelPlan:
     y_lead: float
     y: np.ndarray
     y_trail: float
+    theta: np.ndarray
+    factors: list
 
 
 def level_plan(model: MixedModel, path: Path) -> LevelPlan:
-    """Collapse the levels of ``path`` as the module docstring describes."""
-    covs = increments(model, path)
-    yv = theta_increments(model, path)
-    lead = np.zeros((path.kappa, path.kappa))
-    trail = np.zeros((path.kappa, path.kappa))
+    """Collapse the levels of ``path`` as the module docstring describes, in
+    one pass: xi' and theta over the stacked gammas, one batched eigh for the
+    increments and one for the factors.  Free of lambda: built once per path.
+    """
+    covs = _increments(model, path)
+    theta = theta_sums(model, path)
+    yv = _theta_steps(theta)
+    lead, trail = np.zeros((2, path.kappa, path.kappa))
     y_lead = y_trail = 0.0
     xs, zs, ys = [], [], []
     for xj, cz, cy in zip(path.x, covs, yv):
@@ -351,7 +346,8 @@ def level_plan(model: MixedModel, path: Path) -> LevelPlan:
             xs.append(float(xj))
             zs.append(cz)
             ys.append(cy)
-    return LevelPlan(lead, np.array(xs), zs, trail, y_lead, np.array(ys), y_trail)
+    return LevelPlan(lead, np.array(xs), zs, trail, y_lead, np.array(ys), y_trail,
+                     theta, _psd_factors([lead, *zs]))
 
 
 def _quad_bonus(prior: SpinPrior, cov: np.ndarray) -> np.ndarray | None:
@@ -361,13 +357,12 @@ def _quad_bonus(prior: SpinPrior, cov: np.ndarray) -> np.ndarray | None:
     return 0.5 * np.einsum("ak,kl,al->a", prior.points, cov, prior.points)
 
 
-def _plan_factors(model, prior, path):
-    """(x values, covariance factors, x = 1 bonus) of the plan, lead first."""
+def _prior_plan(model, prior, path):
+    """(level plan, x = 1 bonus) of ``path`` for the atoms of ``prior``."""
     if prior.kappa != path.kappa:
         raise ValidationError("prior and path disagree on kappa")
     plan = level_plan(model, path)
-    factors = [_psd_factor(c) for c in (plan.lead, *plan.covs)]
-    return np.append(0.0, plan.x), factors, _quad_bonus(prior, plan.trail)
+    return plan, _quad_bonus(prior, plan.trail)
 
 
 def _check_budget(points: int, width: int, what: str) -> None:
@@ -459,11 +454,14 @@ def _field(h, kappa: int, name: str) -> np.ndarray:
     return h
 
 
-def _atom_base(prior: SpinPrior, lam, external_field=None, quad_bonus=None) -> np.ndarray:
-    """Per-atom constant of the inner integrand, (n_atoms,): the lambda term,
-    the log weight, the x = 1 bonus and the external field term <sigma, h>;
-    the field h must have shape (kappa,) and finite entries."""
-    base = _atom_pair_products(prior) @ lambda_validate(lam, prior.kappa)
+def _atom_base(prior: SpinPrior, lam, external_field=None, quad_bonus=None,
+               pair=None) -> np.ndarray:
+    """Per-atom constant of the inner integrand, (n_atoms,): the lambda term
+    (``pair``, the atom pair products, if given), the log weight, the x = 1
+    bonus and the external field term <sigma, h>; the field h must have
+    shape (kappa,) and finite entries."""
+    pair = _atom_pair_products(prior) if pair is None else pair
+    base = pair @ lambda_validate(lam, prior.kappa)
     base = base + prior.log_weights()
     if quad_bonus is not None:
         base = base + quad_bonus
@@ -499,27 +497,24 @@ def _bottom(points: np.ndarray, base: np.ndarray, z: np.ndarray, pair=None):
     return values, np.exp(scores, out=scores).T @ pair
 
 
-def _shared_nodes(points: np.ndarray, base: np.ndarray, levels):
-    """(exp(B - m_B), m_B) of the innermost quadrature level of ``levels``,
-    whose offsets o_c every parent shares: B = <sigma, o_c> (n_atoms, n), m_B
-    its column maxima; None if the walk is not separable.  A parent's
-    A = base + <sigma, z> sums one offset per outer level, so its spread over
-    atoms plus B's is at most spread(base) plus, per level, the largest
-    spread of <sigma, o_c> over its nodes; the walk is separable while that
-    bound is below ``SEPARABLE_SPREAD``.  Computed once per walk."""
+def _shared_nodes(points: np.ndarray, levels):
+    """((exp(B - m_B), m_B), spread) of the quadrature ``levels``: B =
+    <sigma, o_c> (n_atoms, n) at the innermost level's offsets o_c, which
+    every parent shares, and m_B its column maxima.  A parent's A = base +
+    <sigma, z> sums one offset per outer level, so its spread over atoms plus
+    B's is at most spread(base) plus ``spread``: per level, the largest spread
+    of <sigma, o_c> over its nodes.  The walk is separable while that bound
+    is below ``SEPARABLE_SPREAD``; only spread(base) depends on lambda."""
     scores = [_scores(points, offs[:, 0]) for offs, _ in levels]
     highs = [s.max(axis=0) for s in scores]
-    bound = np.ptp(base) + sum(float(np.max(h - s.min(axis=0)))
-                               for h, s in zip(highs, scores))
-    if not bound < SEPARABLE_SPREAD:
-        return None
-    return np.exp(scores[-1] - highs[-1]), highs[-1]
+    spread = sum(float(np.max(h - s.min(axis=0))) for h, s in zip(highs, scores))
+    return (np.exp(scores[-1] - highs[-1]), highs[-1]), spread
 
 
 def _bottom_separable(points: np.ndarray, base: np.ndarray, z: np.ndarray, nodes,
                       pair=None):
     """The bottom layer over the children of parents z (Q, kappa) at shared
-    offsets o_c, without growing them; ``nodes`` is ``_shared_nodes(...)``.
+    offsets o_c, without growing them; ``nodes`` is ``_shared_nodes(...)[0]``.
 
     Child c of parent q scores A[a, q] + B[a, c], with A = <sigma, z> + base
     (n_atoms, Q).  Shifted by column maxima, the atom sums are one product
@@ -527,8 +522,8 @@ def _bottom_separable(points: np.ndarray, base: np.ndarray, z: np.ndarray, nodes
     as ``_grow`` lays children out (point c * Q + q).  With ``pair``
     (n_atoms, C) it also returns the Gibbs averages of the pair products,
     (n * Q, C), as C more products exp(B)^T (pair[:, k] exp(A)) / S.  The
-    walk calls it only when ``_shared_nodes`` found it separable, so no term
-    of S underflows.
+    walk calls it only when ``_shared_nodes``' bound finds it separable, so
+    no term of S underflows.
     """
     eb, m_b = nodes
     a = _scores(points, z)
@@ -607,18 +602,22 @@ def _gh_nodes(n: int):
     return z, w
 
 
+@functools.lru_cache(maxsize=32)
+def _gh_grid(n: int, d: int):
+    """Nodes (n^d, d) and log-weights of the tensor grid in d dimensions."""
+    z1, w1 = _gh_nodes(n)
+    pts = np.stack([g.ravel() for g in np.meshgrid(*[z1] * d, indexing="ij")], axis=1)
+    lw = np.sum([g.ravel() for g in np.meshgrid(*[np.log(w1)] * d, indexing="ij")], axis=0)
+    pts.flags.writeable = lw.flags.writeable = False
+    return pts, lw
+
+
 def _quad_levels(factors, n_nodes):
     """Per level: (offsets, log-weights) of one tensor Gauss-Hermite grid
     that every parent shares, so ``offsets`` is one (n, 1, kappa) array."""
-    z1, w1 = _gh_nodes(n_nodes)
-    logw1 = np.log(w1)
     levels = []
     for f in factors:
-        d = f.shape[1]
-        grids = np.meshgrid(*([z1] * d), indexing="ij")
-        pts = np.stack([grid.ravel() for grid in grids], axis=1)
-        wgrids = np.meshgrid(*([logw1] * d), indexing="ij")
-        lw = np.sum([wg.ravel() for wg in wgrids], axis=0)
+        pts, lw = _gh_grid(n_nodes, f.shape[1])
         levels.append(((pts @ f.T)[:, None, :], lw))
     return levels
 
@@ -650,59 +649,85 @@ def _grow(z, offsets):
     return np.add(offs, z, order="C").reshape(-1, z.shape[1])
 
 
-def _phi(model, prior, lam, path, spec: EvalSpec, external_field=None, want_grad=False):
-    """(value, std_error, lambda gradient or None) of the recursion.
+class _Prepared:
+    """The recursion on one path and spec, prepared once for any lambda and
+    external field: the level plan, the x = 1 bonus, the levels with
+    variance and, for quadrature, their Gauss-Hermite levels and
+    ``_shared_nodes``.  The budget is checked before any level is built, and
+    per call at its width.  Monte Carlo draws its trees per call from
+    ``spec.seed`` and averages their values and gradients.
 
-    Quadrature walks its grid once; Monte Carlo walks ``spec.replications``
-    sampling trees and averages their values and gradients.  A walk visits
-    its grid or tree in blocks of at most ``BLOCK_ENTRIES`` entries (or of
-    one innermost level, when that alone is larger).  Each walk decides
-    once, from its levels, whether it is separable (``_shared_nodes``): a
-    separable quadrature walk grows every level but the innermost, which
-    ``_bottom_separable`` scores; any other walk grows every level and
-    scores with ``_bottom``.  The grown levels split into an outer prefix
-    and the longest inner suffix whose entries fit one block: points x
-    width, or parents x the widest per-parent array when separable.  The
-    prefix points are grown whole; a block is a run of them with their
-    whole suffix subtrees, in node-major order: it is grown, scored,
-    reduced over atoms and folded over the suffix levels.  The outer levels
-    are folded last, over the per-prefix values, which keep the prefixes'
-    node-major order.  Monte Carlo draws follow this order: the prefix
-    levels whole, then each block's suffix levels; a level draws one row of
-    n children per parent, the parents in node-major order.
+    A walk's grown levels (all of them, or all but the innermost when
+    separable) split into an outer prefix and the longest inner suffix whose
+    entries fit one block: points x width, or parents x the widest
+    per-parent array when separable.  A block is a run of prefix points with
+    their whole suffix subtrees: it is grown, scored, reduced over atoms and
+    folded over the suffix levels; the prefix levels fold last.
     """
-    x_seq, factors, bonus = _plan_factors(model, prior, path)
-    # a level without variance has X_j = X_{j+1}: it is dropped
-    keep = [j for j, f in enumerate(factors) if f.shape[1]]
-    x_seq, factors = x_seq[keep], [factors[j] for j in keep]
-    width = max(prior.n_atoms, path.kappa, lambda_size(path.kappa) if want_grad else 0)
-    if spec.is_quadrature:
-        points = spec.nodes_per_level ** sum(f.shape[1] for f in factors)
-    else:
-        points = spec.samples_per_level ** len(factors)
-    _check_budget(points, width, "quadrature grid" if spec.is_quadrature else "sampling tree")
-    base = _atom_base(prior, lam, external_field, bonus)
-    pair = _atom_pair_products(prior) if want_grad else None
 
-    def walk(levels):
-        # shared offsets (quadrature) let a separable walk score the innermost
-        # level without growing it; sampled offsets differ per parent
-        nodes = (_shared_nodes(prior.points, base, levels)
-                 if levels and not callable(levels[-1][0]) else None)
+    def __init__(self, model, prior, path, spec: EvalSpec):
+        self.plan, self.bonus = _prior_plan(model, prior, path)
+        self.prior, self.spec = prior, spec
+        keep = [j for j, f in enumerate(self.plan.factors) if f.shape[1]]
+        self.x_seq = np.append(0.0, self.plan.x)[keep]
+        self.factors = [self.plan.factors[j] for j in keep]
+        self.points = (spec.nodes_per_level ** sum(f.shape[1] for f in self.factors)
+                       if spec.is_quadrature else spec.samples_per_level ** len(self.factors))
+        self.what = "quadrature grid" if spec.is_quadrature else "sampling tree"
+        _check_budget(self.points, max(prior.n_atoms, prior.kappa), self.what)
+        self.pair = _atom_pair_products(prior)
+        if spec.is_quadrature:
+            self.levels = _quad_levels(self.factors, spec.nodes_per_level)
+            self.nodes, self.spread = (_shared_nodes(prior.points, self.levels)
+                                       if self.levels else (None, 0.0))
+
+    def value(self, lam, external_field=None) -> tuple[float, float]:
+        """(value, std_error) at ``lam`` and ``external_field``."""
+        return self._run(lam, external_field, False)[:2]
+
+    def value_and_grad(self, lam, external_field=None) -> tuple[float, np.ndarray]:
+        """(value, lambda gradient) at ``lam`` and ``external_field``."""
+        return self._run(lam, external_field, True)[::2]
+
+    def _run(self, lam, external_field, want_grad):
+        kappa = self.prior.kappa
+        width = max(self.prior.n_atoms, kappa, lambda_size(kappa) if want_grad else 0)
+        _check_budget(self.points, width, self.what)
+        base = _atom_base(self.prior, lam, external_field, self.bonus, self.pair)
+        spec = self.spec
+        if spec.is_quadrature:
+            # shared offsets let a separable walk score the innermost level
+            # without growing it; sampled offsets differ per parent
+            nodes = self.nodes
+            if nodes is not None and not np.ptp(base) + self.spread < SEPARABLE_SPREAD:
+                nodes = None
+            value, grad = self._walk(self.levels, base, nodes, want_grad, width)
+            return value, 0.0, grad
+        trees = parallel_map(
+            lambda rep: self._walk(_sampled_levels(self.factors, spec.samples_per_level,
+                                                   spawn_rng(spec.seed, rep)),
+                                   base, None, want_grad, width),
+            spec.replications, spec.threads)
+        value, se = mean_and_se([v for v, _ in trees])
+        return value, se, (np.mean([g for _, g in trees], axis=0) if want_grad else None)
+
+    def _walk(self, levels, base, nodes, want_grad, width):
+        points, kappa = self.prior.points, self.prior.kappa
+        pair = self.pair if want_grad else None
         if nodes is None:
             grown, unit = levels, width
         else:
             # entries per parent: exp(A), and its children's values or gradients
             grown = levels[:-1]
-            unit = max(prior.n_atoms, path.kappa,
-                       levels[-1][1].size * (lambda_size(path.kappa) if want_grad else 1))
+            unit = max(self.prior.n_atoms, kappa,
+                       levels[-1][1].size * (lambda_size(kappa) if want_grad else 1))
         # a grown block holds at least one whole innermost level
         cut, inner = len(grown), 1
         while cut > 0 and (cut == len(levels)
                            or inner * grown[cut - 1][1].size * unit <= BLOCK_ENTRIES):
             cut -= 1
             inner *= grown[cut][1].size
-        prefixes = np.zeros((1, path.kappa))
+        prefixes = np.zeros((1, kappa))
         for offs, _ in grown[:cut]:
             prefixes = _grow(prefixes, offs)
         logws = [lw for _, lw in levels]
@@ -714,25 +739,15 @@ def _phi(model, prior, lam, path, spec: EvalSpec, external_field=None, want_grad
             for offs, _ in grown[cut:]:
                 z = _grow(z, offs)
             if nodes is None:
-                v, g = _bottom(prior.points, base, z, pair)
+                v, g = _bottom(points, base, z, pair)
             else:
-                v, g = _bottom_separable(prior.points, base, z, nodes, pair)
-            v, g = _fold(v, logws[cut:], x_seq[cut:], g)
+                v, g = _bottom_separable(points, base, z, nodes, pair)
+            v, g = _fold(v, logws[cut:], self.x_seq[cut:], g)
             vals.append(v)
             grads.append(g)
-        v, g = _fold(np.concatenate(vals), logws[:cut], x_seq[:cut],
+        v, g = _fold(np.concatenate(vals), logws[:cut], self.x_seq[:cut],
                      np.concatenate(grads) if want_grad else None)
         return float(v[0]), (g[0] if want_grad else None)
-
-    if spec.is_quadrature:
-        value, grad = walk(_quad_levels(factors, spec.nodes_per_level))
-        return value, 0.0, grad
-    trees = parallel_map(
-        lambda rep: walk(_sampled_levels(factors, spec.samples_per_level,
-                                         spawn_rng(spec.seed, rep))),
-        spec.replications, spec.threads)
-    value, se = mean_and_se([v for v, _ in trees])
-    return value, se, (np.mean([g for _, g in trees], axis=0) if want_grad else None)
 
 
 def eval_phi(model: MixedModel, prior: SpinPrior, lam, path: Path,
@@ -742,7 +757,7 @@ def eval_phi(model: MixedModel, prior: SpinPrior, lam, path: Path,
     Quadrature is exact up to node truncation and reports std_error 0.
     Monte Carlo averages ``spec.replications`` independent sampling trees.
     """
-    return _phi(model, prior, lam, path, spec, external_field)[:2]
+    return _Prepared(model, prior, path, spec).value(lam, external_field)
 
 
 def eval_phi_smoothed(model, prior, lam, path, spec: EvalSpec,
@@ -760,11 +775,9 @@ def eval_phi_smoothed(model, prior, lam, path, spec: EvalSpec,
         raise ValidationError("delta must be >= 0")
     lam = lambda_validate(lam, prior.kappa)
     z1, w1 = _gh_nodes(spec.nodes_per_level)
-    shift = 0.0
-    for lc in lam:
-        shift += float(np.log(np.sum(w1 * np.exp(lc * math.sqrt(delta) * z1))))
+    shift = sum(float(np.log(np.sum(w1 * np.exp(lc * math.sqrt(delta) * z1)))) for lc in lam)
     # the fold commutes with a constant, so the shift is added to its value
-    return _phi(model, prior, lam, path, spec)[0] + shift, 0.0
+    return _Prepared(model, prior, path, spec).value(lam)[0] + shift, 0.0
 
 
 def phi_grad_lambda(model, prior, lam, path, spec: EvalSpec,
@@ -778,25 +791,29 @@ def phi_grad_lambda(model, prior, lam, path, spec: EvalSpec,
     over the replications.
     """
     lam = lambda_validate(lam, prior.kappa)
-    value, _, grad = _phi(model, prior, lam, path, spec, external_field, want_grad=True)
-    return value, grad
+    return _Prepared(model, prior, path, spec).value_and_grad(lam, external_field)
 
 
 # ---------------------------------------------------------------------------
 # the full functional
 
 
+def _theta_terms(x, sums) -> tuple[float, float]:
+    """Both forms of the theta correction of a path with x values ``x`` and
+    theta sums ``sums`` (``theta_correction`` and its rearrangement)."""
+    fullx = np.concatenate([[0.0], x, [1.0]])
+    integral = float(np.sum(np.diff(fullx) * sums))
+    return 0.5 * float(np.sum(x * np.diff(sums))), 0.5 * (sums[-1] - integral)
+
+
 def theta_correction(model: MixedModel, path: Path) -> float:
     """(1/2) sum_j x_j Sum(theta(gamma_{j+1}) - theta(gamma_j))."""
-    return 0.5 * float(np.sum(path.x * np.diff(theta_sums(model, path))))
+    return _theta_terms(path.x, theta_sums(model, path))[0]
 
 
 def theta_correction_rearranged(model: MixedModel, path: Path) -> float:
     """Same correction via (1/2)[Sum(theta(D)) - int Sum(theta(pi(x))) dx]."""
-    sums = theta_sums(model, path)
-    fullx = np.concatenate([[0.0], path.x, [1.0]])
-    integral = float(np.sum(np.diff(fullx) * sums))
-    return 0.5 * (sums[-1] - integral)
+    return _theta_terms(path.x, theta_sums(model, path))[1]
 
 
 @dataclass(frozen=True)
@@ -809,14 +826,7 @@ class ParisiResult:
     theta_term_rearranged: float
 
     def to_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "std_error": self.std_error,
-            "phi": self.phi,
-            "lagrange_term": self.lagrange_term,
-            "theta_term": self.theta_term,
-            "theta_term_rearranged": self.theta_term_rearranged,
-        }
+        return asdict(self)
 
 
 def eval_parisi(model, prior, lam, d, path: Path, spec: EvalSpec,
@@ -828,13 +838,13 @@ def eval_parisi(model, prior, lam, d, path: Path, spec: EvalSpec,
     """
     if not np.array_equal(d, path.endpoint):
         raise ValidationError("constraint matrix D must equal the path endpoint")
-    t_direct = theta_correction(model, path)
-    t_re = theta_correction_rearranged(model, path)
+    rec = _Prepared(model, prior, path, spec)
+    t_direct, t_re = _theta_terms(path.x, rec.plan.theta)
     if abs(t_direct - t_re) > 1e-10:
         raise NumericalError(
             f"theta-term rearrangement mismatch: {t_direct!r} vs {t_re!r}"
         )
-    phi, se = eval_phi(model, prior, lam, path, spec, external_field)
+    phi, se = rec.value(lam, external_field)
     pair = lambda_pairing(lam, d)
     return ParisiResult(phi - pair - t_direct, se, phi, pair, t_direct, t_re)
 
@@ -873,18 +883,21 @@ def phi_star(model, prior, d, path: Path, spec: EvalSpec,
     preserves convexity in lambda), so plain gradient descent with Armijo
     backtracking is reliable.  Returns the best iterate with a flag when
     the budget runs out first.  ``d`` must be a kappa x kappa Gram matrix.
+    The path is fixed, so the recursion is prepared once (``_Prepared``)
+    and every iterate and trial step walks it.
     """
     opt = opt or OptimizerSpec()
     d = validate_gram(d, name="constraint matrix D", kappa=prior.kappa)
     d_upper = upper_entries(d)
     lam = lambda_zero(prior.kappa) if lam0 is None else lambda_validate(lam0, prior.kappa)
+    rec = _Prepared(model, prior, path, spec)
 
     def value_and_grad(l):
-        v, g = phi_grad_lambda(model, prior, l, path, spec)
+        v, g = rec.value_and_grad(l)
         return v - float(l @ d_upper), g - d_upper
 
     def value_only(l):
-        v, _ = eval_phi(model, prior, l, path, spec)
+        v, _ = rec.value(l)
         return v - float(l @ d_upper)
 
     f, g = value_and_grad(lam)
@@ -993,11 +1006,6 @@ class OptimizeResult:
         }
 
 
-def _parisi_value(model, prior, lam, path, spec) -> float:
-    phi, _ = eval_phi(model, prior, lam, path, spec)
-    return phi - lambda_pairing(lam, path.endpoint) - theta_correction(model, path)
-
-
 def _inner_minimize(model, prior, d, r, spec, opt, rng, order: str):
     """inf over (lambda, path in Pi_D), alternating descent in one ordering."""
     kappa = d.shape[0]
@@ -1007,9 +1015,6 @@ def _inner_minimize(model, prior, d, r, spec, opt, rng, order: str):
     fs = fs * scale
     lam = lambda_zero(kappa)
 
-    def pack(xs, fs):
-        return np.concatenate([xs, fs.ravel()])
-
     def unpack(vec):
         return vec[:r], vec[r:].reshape(r, kappa, kappa)
 
@@ -1017,7 +1022,7 @@ def _inner_minimize(model, prior, d, r, spec, opt, rng, order: str):
         xs_v, fs_v = unpack(vec)
         try:
             path = _path_from_params(xs_v, fs_v, d)
-            return _parisi_value(model, prior, lam, path, spec)
+            return eval_parisi(model, prior, lam, path.endpoint, path, spec).value
         except (ValidationError, NumericalError, np.linalg.LinAlgError):
             return np.inf
 
@@ -1026,7 +1031,7 @@ def _inner_minimize(model, prior, d, r, spec, opt, rng, order: str):
 
     from scipy.optimize import minimize  # deferred: slow to import, only Powell needs it
 
-    vec = pack(xs, fs)
+    vec = np.concatenate([xs, fs.ravel()])
     for round_idx in range(opt.alternations):
         path = _path_from_params(*unpack(vec), d)
         if order == "lambda_first" or round_idx > 0:
@@ -1042,7 +1047,7 @@ def _inner_minimize(model, prior, d, r, spec, opt, rng, order: str):
             vec = res.x
     path = _path_from_params(*unpack(vec), d)
     final = lam_step(path)
-    value = _parisi_value(model, prior, final.lam, path, spec)
+    value = eval_parisi(model, prior, final.lam, path.endpoint, path, spec).value
     return value, final.lam, path, final.converged
 
 

@@ -45,8 +45,8 @@ from .parisi import (
     _check_budget,
     _grow,
     _logsumexp,
-    _plan_factors,
-    _psd_factor,
+    _prior_plan,
+    _psd_factors,
     _sampled_levels,
     _scores,
     increments,
@@ -97,16 +97,10 @@ class CascadeTree:
 
 def ancestor_depth(alpha1, alpha2) -> int:
     """Number of leading coordinates two leaves share; depth r iff equal."""
-    a1 = tuple(alpha1)
-    a2 = tuple(alpha2)
+    a1, a2 = tuple(alpha1), tuple(alpha2)
     if len(a1) != len(a2):
         raise ValidationError("leaf coordinates must have equal length")
-    depth = 0
-    for c1, c2 in zip(a1, a2):
-        if c1 != c2:
-            break
-        depth += 1
-    return depth
+    return next((j for j, (c1, c2) in enumerate(zip(a1, a2)) if c1 != c2), len(a1))
 
 
 def _validate_cascade_x(x) -> np.ndarray:
@@ -125,6 +119,17 @@ def _check_fanout(fanout: int) -> None:
         raise ValidationError(f"fanout must be >= 2, got {fanout}")
 
 
+def _tree_log_weights(x: np.ndarray, fanout: int, rng) -> np.ndarray:
+    """Normalized leaf log-weights of one tree on a validated ``x``, from ``rng``."""
+    logw = np.zeros((1, 1))
+    for zeta in x:
+        arrivals = rng.exponential(size=(logw.shape[0], fanout)).cumsum(axis=1)
+        # the parents' arrivals are drawn parent-major, and grow node-major
+        logw = _grow(logw, (-np.log(arrivals) / zeta).T[:, :, None])
+    logw = logw.reshape(-1)
+    return logw - _logsumexp(logw)
+
+
 def sample_cascade(x, fanout: int, seed) -> CascadeTree:
     """Sample the truncated weight tree for parameters ``x``.
 
@@ -135,13 +140,7 @@ def sample_cascade(x, fanout: int, seed) -> CascadeTree:
     _check_fanout(fanout)
     _check_budget(fanout ** x.size, 1, "cascade tree")
     rng = seed if isinstance(seed, np.random.Generator) else spawn_rng(int(seed))
-    logw = np.zeros((1, 1))
-    for zeta in x:
-        arrivals = rng.exponential(size=(logw.shape[0], fanout)).cumsum(axis=1)
-        # the parents' arrivals are drawn parent-major, and grow node-major
-        logw = _grow(logw, (-np.log(arrivals) / zeta).T[:, :, None])
-    logw = logw.reshape(-1)
-    return CascadeTree(x, int(fanout), logw - _logsumexp(logw))
+    return CascadeTree(x, int(fanout), _tree_log_weights(x, fanout, rng))
 
 
 @dataclass(frozen=True)
@@ -157,7 +156,7 @@ class TreeGaussianField:
 
 
 def _scalar_factors(variances) -> list[np.ndarray]:
-    """Factors of scalar level variances, as ``parisi._psd_factor`` gives
+    """Factors of scalar level variances, as ``parisi._psd_factors`` gives
     them: 1 x 1 sqrt(v), or 1 x 0 for v = 0, which draws nothing."""
     return [np.full((1, int(v > 0)), math.sqrt(v)) for v in variances]
 
@@ -172,8 +171,7 @@ def sample_fields(tree: CascadeTree, model: MixedModel, path: Path,
     if tree.depth != path.r:
         raise ValidationError("tree depth and path level count differ")
     rng = seed if isinstance(seed, np.random.Generator) else spawn_rng(int(seed))
-    z_levels = _sampled_levels([_psd_factor(c) for c in increments(model, path)],
-                               tree.fanout, rng)
+    z_levels = _sampled_levels(_psd_factors(increments(model, path)), tree.fanout, rng)
     y_levels = _sampled_levels(_scalar_factors(theta_increments(model, path)),
                                tree.fanout, rng)
     z, y = np.zeros((1, path.kappa)), np.zeros((1, 1))
@@ -191,7 +189,9 @@ def sample_fields(tree: CascadeTree, model: MixedModel, path: Path,
 def _cascade(x, factors, points, base, fanout, replications, seed, threads):
     """(mean, std_error) of log sum_{leaf, atom} v_leaf exp(<sigma, z_leaf>
     + base) over replications: the lead factor is drawn at the root, then
-    the weight tree on ``x``, then the field on the other ``factors``."""
+    the weight tree on ``x`` (validated once per call, as ``sample_cascade``
+    would each tree), then the field on the other ``factors``."""
+    x = _validate_cascade_x(x) if len(x) else x
     _check_fanout(fanout)
     check_replications(replications)
     _check_budget(fanout ** len(x), max(points.shape), "cascade tree")
@@ -200,7 +200,7 @@ def _cascade(x, factors, points, base, fanout, replications, seed, threads):
     def one(rep: int) -> float:
         rng = spawn_rng(seed, rep)
         z = rng.standard_normal((1, lead.shape[1])) @ lead.T
-        logw = sample_cascade(x, fanout, rng).log_weights if len(x) else np.zeros(1)
+        logw = _tree_log_weights(x, fanout, rng)
         for offs, _ in _sampled_levels(core, fanout, rng):
             z = _grow(z, offs)
         scores = _scores(points, z)
@@ -221,9 +221,9 @@ def simulate_phi(model: MixedModel, prior: SpinPrior, lam, path: Path,
     levels become a shared field draw; trailing x = 1 levels fold into the
     integrand exactly.  ``fanout`` must be >= 2 whatever the level plan.
     """
-    x_seq, factors, bonus = _plan_factors(model, prior, path)
+    plan, bonus = _prior_plan(model, prior, path)
     base = _atom_base(prior, lam, external_field, bonus)
-    return _cascade(x_seq[1:], factors, prior.points, base, fanout, replications,
+    return _cascade(plan.x, plan.factors, prior.points, base, fanout, replications,
                     seed, threads)
 
 

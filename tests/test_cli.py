@@ -299,11 +299,28 @@ class TestExitCodes:
         ("gg", FE_CONFIG, "[[1.0, 0.0], [0.0, 1.0]]"),
         ("fe-constrained", FE_CONFIG, "[[.nan]]"),
         ("gg", FE_CONFIG, "[[-1.0]]"),
-    ], ids=["phistar-2x2", "fe-constrained-2x2", "gg-2x2", "fe-constrained-nan", "gg-negative"])
+        ("validate", FE_CONFIG, "[[1.0, 0.0], [0.0, 1.0]]"),
+        ("validate", FE_CONFIG, "[[-1.0]]"),
+    ], ids=["phistar-2x2", "fe-constrained-2x2", "gg-2x2", "fe-constrained-nan", "gg-negative",
+            "validate-2x2", "validate-negative"])
     def test_malformed_constraint_matrix(self, command, config, d, tmp_path, capsys):
         bad = write(tmp_path, config.replace("d: [[1.0]]", f"d: {d}"), "d.yaml")
         assert main([command, "--config", bad]) == 3
         assert "constraint matrix D" in capsys.readouterr().err
+
+    def test_validate_reads_constraint_matrix(self, tmp_path, capsys):
+        # validate refuses the D that fe-constrained refuses on the shipped config
+        text = (CONFIGS / "fe_small.yaml").read_text()
+        assert "d: [[1.0]]" in text
+        bad = write(tmp_path, text.replace("d: [[1.0]]", "d: [[1.0, 0.0], [0.0, 1.0]]"))
+        for command in ("validate", "fe-constrained"):
+            assert main([command, "--config", bad]) == 3, command
+            assert "must have shape (1, 1), got (2, 2)" in capsys.readouterr().err
+        # and every shipped config, D and all, still validates
+        for path in sorted(CONFIGS.glob("*.yaml")):
+            code, report = run(capsys, "validate", "--config", str(path))
+            assert code == 0, path.name
+            assert report["command"] == "validate"
 
     def test_zero_disorder_draws(self, tmp_path, capsys):
         cfg = write(tmp_path, FE_CONFIG.replace("n_disorder: 40", "n_disorder: 0"))

@@ -27,6 +27,7 @@ from vecspin import (
     simulate_phi,
     simulate_y_functional,
 )
+from vecspin.mixing import theta_matrix, xi_prime_matrix
 from vecspin.parisi import (
     BLOCK_ENTRIES,
     SEPARABLE_SPREAD,
@@ -34,8 +35,10 @@ from vecspin.parisi import (
     _bottom,
     _bottom_separable,
     _logsumexp,
-    _plan_factors,
+    _Prepared,
+    _prior_plan,
     increments,
+    level_plan,
     lambda_pairing,
     project_simplex,
     theta_correction,
@@ -66,7 +69,8 @@ def gh(n=80):
 def whole_grid(model, prior, lam, path, nodes, field=None, extra=0.0):
     """Reference recursion on the whole tensor grid at once, points x atoms:
     (value, lambda gradient), levels folded innermost first."""
-    x_seq, factors, bonus = _plan_factors(model, prior, path)
+    plan, bonus = _prior_plan(model, prior, path)
+    x_seq, factors = np.append(0.0, plan.x), plan.factors
     z1, w1 = gh(nodes)
     z, lws = np.zeros((1, prior.kappa)), []
     for f in factors:
@@ -465,6 +469,114 @@ class TestEvalPhi:
         v1 = eval_phi(m, prior, lambda_zero(2), path, spec1)
         v8 = eval_phi(m, prior, lambda_zero(2), path, spec8)
         assert v1 == v8
+
+
+def prepared_cases(rng):
+    """(model, prior, path, nodes): kappa 1-3 with distinct x, with lead x = 0,
+    merged interior and x = 1 trail levels, and with a zero-variance
+    increment; then the large field of ``test_blocks_match_whole_grid``."""
+    out = []
+    for kappa, nodes in ((1, 8), (2, 5), (3, 3)):
+        m = random_model(rng, kappa)
+        prior = random_prior(rng, kappa, n_atoms=4)
+        out.append((m, prior, random_path(rng, kappa, 2), nodes))
+        out.append((m, prior, Path([0.0, 0.4, 0.4, 1.0],
+                                   random_monotone_gammas(rng, kappa, 4)), nodes))
+        g = random_monotone_gammas(rng, kappa, 2)
+        out.append((m, prior, Path([0.3, 0.6, 0.8], g[[0, 1, 1]]), nodes))
+    prior = SpinPrior(np.array([[-1.0], [0.2], [1.0]]), np.array([0.3, 0.3, 0.4]))
+    path = Path(np.linspace(0.2, 0.8, 4), np.linspace(0.25, 1.0, 4)[:, None, None])
+    out.append((MixedModel(1, {2: [18.8]}), prior, path, 16))
+    return out
+
+
+class TestPreparedRecursion:
+    def test_one_pass_plan_matches_level_loop(self):
+        # the stacked xi', theta and batched eigh give the per-level numbers
+        rng = spawn_rng(30)
+        for m, _, path, _ in prepared_cases(rng):
+            full = path.gammas_full()
+            prev, covs = xi_prime_matrix(m, full[0]), []
+            for g in full[1:]:
+                cur = xi_prime_matrix(m, g)
+                vals, vecs = np.linalg.eigh(((cur - prev) + (cur - prev).T) / 2.0)
+                covs.append((vecs * np.clip(vals, 0.0, None)) @ vecs.T)
+                prev = cur
+            np.testing.assert_array_equal(increments(m, path), covs)
+            plan = level_plan(m, path)
+            np.testing.assert_array_equal(
+                plan.theta, [float(np.sum(theta_matrix(m, g))) for g in full])
+            for cov, f in zip([plan.lead, *plan.covs], plan.factors):
+                vals, vecs = np.linalg.eigh((cov + cov.T) / 2.0)
+                keep = vals > 1e-12 * max(float(vals[-1]), 1.0)
+                np.testing.assert_array_equal(f, vecs[:, keep] * np.sqrt(vals[keep]))
+
+    def test_one_object_matches_fresh_calls(self, monkeypatch):
+        calls = []
+        real = _bottom_separable
+
+        def spy(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr("vecspin.parisi._bottom_separable", spy)
+        rng = spawn_rng(31)
+        for m, prior, path, nodes in prepared_cases(rng):
+            kappa = prior.kappa
+            # the last lambda widens the atoms' constant term: on the large
+            # field, the walk is separable at the first two and not at it
+            lams = [random_lambda(rng, kappa), random_lambda(rng, kappa),
+                    random_lambda(rng, kappa) + 5.0]
+            field = rng.uniform(-0.5, 0.5, size=kappa)
+            mc = EvalSpec(backend="monte_carlo", samples_per_level=5, replications=2, seed=4)
+            for spec in (EvalSpec(nodes_per_level=nodes), mc):
+                rec = _Prepared(m, prior, path, spec)
+                for lam in lams:
+                    for h in (None, field):
+                        calls.clear()
+                        value = rec.value(lam, h)
+                        separable = bool(calls)
+                        assert value == eval_phi(m, prior, lam, path, spec, external_field=h)
+                        v, g = rec.value_and_grad(lam, h)
+                        fv, fg = phi_grad_lambda(m, prior, lam, path, spec, external_field=h)
+                        assert v == fv
+                        np.testing.assert_array_equal(g, fg)
+                        if nodes == 16 and h is None and spec.is_quadrature:
+                            assert separable == (lam is not lams[-1])
+
+    def test_phi_star_builds_one_plan(self, monkeypatch):
+        plans = []
+
+        def spy(*args):
+            plans.append(1)
+            return level_plan(*args)
+
+        monkeypatch.setattr("vecspin.parisi.level_plan", spy)
+        prior = SpinPrior.from_atoms([([1.0], 0.4), ([-1.0], 0.4), ([0.0], 0.2)])
+        d = np.array([[0.5]])
+        res = phi_star(MixedModel(1, {2: [0.4]}), prior, d, Path([0.3, 0.7], [0.5 * d, d]),
+                       QUAD)
+        assert res.iterations > 2
+        assert len(plans) == 1
+
+    def test_plan_errors_unchanged(self):
+        # xi' falls by 1e-6 at the second level, below -PSD_TOL; and a gamma
+        # falling by 1e-11 at 100 keeps xi' within it but lowers the theta sum
+        steep = (MixedModel(1, {2: [100.0]}), Path([0.3, 0.7], [[[1.0]], [[1.0 - 5e-11]]]),
+                 "covariance increment 2 is not PSD (min eigenvalue -1.000e-06)")
+        far = (MixedModel(1, {2: [1.0]}), Path([0.3, 0.7], [[[100.0]], [[100.0 - 1e-11]]]),
+               "theta sums decrease along the path")
+        lam = lambda_zero(1)
+        for m, path, message in (steep, far):
+            for call in (lambda: level_plan(m, path),
+                         lambda: eval_phi(m, COUNTING_ISING, lam, path, QUAD),
+                         lambda: phi_grad_lambda(m, COUNTING_ISING, lam, path, QUAD),
+                         lambda: eval_parisi(m, COUNTING_ISING, lam, path.endpoint, path, QUAD),
+                         lambda: simulate_phi(m, COUNTING_ISING, lam, path, fanout=4,
+                                              replications=2)):
+                with pytest.raises(ValidationError) as err:
+                    call()
+                assert str(err.value) == message
 
 
 class TestEvalParisi:

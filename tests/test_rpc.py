@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import vecspin.parisi
+import vecspin.rpc
 from vecspin import (
     BudgetError,
     EvalSpec,
@@ -23,9 +24,17 @@ from vecspin import (
     simulate_y_functional,
     y_functional_closed_form,
 )
-from vecspin.rng import spawn_rng
+from vecspin.parisi import _grow, _logsumexp, _prior_plan, _sampled_levels, _scores, level_plan
+from vecspin.rng import mean_and_se, spawn_rng
+from vecspin.rpc import _scalar_factors
 
-from conftest import random_lambda, random_model, random_path, random_prior
+from conftest import (
+    random_lambda,
+    random_model,
+    random_monotone_gammas,
+    random_path,
+    random_prior,
+)
 
 SK_HALF = MixedModel(1, {2: [0.5]})
 COUNTING_ISING = ising_prior(1)
@@ -207,6 +216,64 @@ class TestSimulatePhi:
         b = simulate_phi(SK_HALF, COUNTING_ISING, lambda_zero(1), path,
                          fanout=32, replications=12, seed=3, threads=8)
         assert a == b
+
+
+def cascade_reference(x, factors, points, base, fanout, replications, seed):
+    """The cascade replication with every tree drawn by the public
+    ``sample_cascade``, which validates x per tree."""
+    vals = []
+    for rep in range(replications):
+        rng = spawn_rng(seed, rep)
+        lead, *core = factors
+        z = rng.standard_normal((1, lead.shape[1])) @ lead.T
+        logw = sample_cascade(x, fanout, rng).log_weights if len(x) else np.zeros(1)
+        for offs, _ in _sampled_levels(core, fanout, rng):
+            z = _grow(z, offs)
+        scores = _scores(points, z) + base[:, None] + logw
+        vals.append(float(_logsumexp(scores.reshape(-1))))
+    return mean_and_se(vals)
+
+
+class TestOneValidationPerCall:
+    def cases(self):
+        rng = spawn_rng(41)
+        for kappa, x in ((1, [0.3, 0.6]), (2, [0.0, 0.4, 0.7, 1.0]), (1, [0.2, 0.5, 0.5, 1.0])):
+            yield (random_model(rng, kappa), random_prior(rng, kappa),
+                   Path(x, random_monotone_gammas(rng, kappa, len(x))), random_lambda(rng, kappa))
+
+    def test_draws_match_public_sample_cascade(self):
+        for x in ([0.5], [0.3, 0.6], [0.2, 0.5, 0.9]):
+            want = sample_cascade(x, 5, spawn_rng(3)).log_weights
+            got = vecspin.rpc._tree_log_weights(np.array(x), 5, spawn_rng(3))
+            np.testing.assert_array_equal(got, want)
+        for m, prior, path, lam in self.cases():
+            plan, bonus = _prior_plan(m, prior, path)
+            base = vecspin.parisi._atom_base(prior, lam, None, bonus)
+            want = cascade_reference(plan.x, plan.factors, prior.points, base, 6, 5, 9)
+            assert simulate_phi(m, prior, lam, path, fanout=6, replications=5, seed=9) == want
+            plan = level_plan(m, path)
+            want = cascade_reference(plan.x, _scalar_factors([plan.y_lead, *plan.y]),
+                                     np.array([[math.sqrt(20)]]),
+                                     np.array([0.5 * 20 * plan.y_trail]), 6, 5, 9)
+            got = simulate_y_functional(m, path, 20, fanout=6, replications=5, seed=9)
+            assert got == (want[0] / 20, want[1] / 20)
+
+    def test_x_validated_once_per_call(self, monkeypatch):
+        calls = []
+        real = vecspin.rpc._validate_cascade_x
+
+        def spy(x):
+            calls.append(1)
+            return real(x)
+
+        monkeypatch.setattr(vecspin.rpc, "_validate_cascade_x", spy)
+        for m, prior, path, lam in self.cases():
+            calls.clear()
+            simulate_phi(m, prior, lam, path, fanout=4, replications=7, seed=1)
+            assert len(calls) == 1
+            calls.clear()
+            simulate_y_functional(m, path, 4, fanout=4, replications=7, seed=1)
+            assert len(calls) == 1
 
 
 class TestYFunctional:
