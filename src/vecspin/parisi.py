@@ -687,7 +687,8 @@ class _Prepared:
 
     def value_and_grad(self, lam, external_field=None) -> tuple[float, np.ndarray]:
         """(value, lambda gradient) at ``lam`` and ``external_field``."""
-        return self._run(lam, external_field, True)[::2]
+        value, _, grad = self._run(lam, external_field, True)
+        return value, grad
 
     def _run(self, lam, external_field, want_grad):
         kappa = self.prior.kappa

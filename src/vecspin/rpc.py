@@ -120,7 +120,8 @@ def _check_fanout(fanout: int) -> None:
 
 
 def _tree_log_weights(x: np.ndarray, fanout: int, rng) -> np.ndarray:
-    """Normalized leaf log-weights of one tree on a validated ``x``, from ``rng``."""
+    """Normalized leaf log-weights of one tree on a validated ``x``, from
+    ``rng``; an empty ``x`` gives the one leaf of weight 1 and draws nothing."""
     logw = np.zeros((1, 1))
     for zeta in x:
         arrivals = rng.exponential(size=(logw.shape[0], fanout)).cumsum(axis=1)
