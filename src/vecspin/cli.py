@@ -261,12 +261,15 @@ def _cmd_phistar(cfg, args):
     opt = build_optimizer_spec(cfg, args)
     d, _ = _constraint(cfg, path)
     res = parisi.phi_star(model, prior, d, path, spec, opt)
-    warnings = [] if res.converged else ["lambda descent hit the iteration budget"]
+    why = {"iterations": "hit the iteration budget", "no_descent": "found no descent step",
+           "unbounded": "stopped: D is off the atoms' affine hull, the infimum is -inf"}
+    warnings = [] if res.converged else [f"lambda solve {why[res.stop_reason]}"]
     return {
         "value": res.value,
         "std_error": 0.0 if spec.is_quadrature else None,
         "components": {"lambda": res.lam.tolist(), "iterations": res.iterations,
-                       "grad_norm": res.grad_norm, "converged": res.converged},
+                       "grad_norm": res.grad_norm, "converged": res.converged,
+                       "stop_reason": res.stop_reason},
         "warnings": warnings,
         "backend": spec.backend,
     }

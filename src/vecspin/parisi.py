@@ -107,11 +107,8 @@ BLOCK_ENTRIES = 1 << 14
 #: underflows, and the walk is separable (``_shared_nodes``).
 SEPARABLE_SPREAD = -math.log(np.finfo(float).tiny)
 
-#: The lambda descent of ``phi_star`` stops once max |gradient| falls to this.
+#: The lambda solve of ``phi_star`` stops once max |gradient| falls to this.
 GRAD_TOL = 1e-8
-
-#: First step of the lambda descent; an accepted step doubles, up to 1e3 times this.
-LAMBDA_STEP = 0.1
 
 #: First step of the outer hull ascent in ``optimize``; halved on each
 #: rejected step, which stops the ascent below 1e-4.
@@ -126,9 +123,12 @@ def lambda_size(kappa: int) -> int:
     return kappa * (kappa + 1) // 2
 
 
+@functools.lru_cache(maxsize=8)
 def lambda_indices(kappa: int):
-    """Upper-triangle index pair arrays matching the flat lambda layout."""
-    return np.triu_indices(kappa)
+    """Upper-triangle index pair arrays matching the flat lambda layout (read-only)."""
+    iu = np.triu_indices(kappa)
+    iu[0].flags.writeable = iu[1].flags.writeable = False
+    return iu
 
 
 def lambda_zero(kappa: int) -> np.ndarray:
@@ -874,18 +874,22 @@ class PhiStarResult:
     converged: bool
     iterations: int
     grad_norm: float
+    stop_reason: str  # "gradient", "iterations", "no_descent" or "unbounded"
 
 
 def phi_star(model, prior, d, path: Path, spec: EvalSpec,
              opt: OptimizerSpec | None = None, lam0=None) -> PhiStarResult:
-    """inf over lambda of -<lambda, D> + Phi(lambda), by descent with backtracking.
+    """inf over lambda of -<lambda, D> + Phi(lambda), by damped Newton steps.
 
-    The objective is convex (log-sum-exp composed through the recursion
-    preserves convexity in lambda), so plain gradient descent with Armijo
-    backtracking is reliable.  Returns the best iterate with a flag when
-    the budget runs out first.  ``d`` must be a kappa x kappa Gram matrix.
-    The path is fixed, so the recursion is prepared once (``_Prepared``)
-    and every iterate and trial step walks it.
+    The objective is convex and smooth in lambda.  The Hessian, the central
+    difference of the exact gradient, is pseudo-inverted, so flat directions
+    (lambda_11 + lambda_22 for atoms of fixed norm) take no step.  Steps are
+    halved until they pass the Armijo rule, so the last iterate is the best.
+    ``stop_reason``: "gradient" (max |g| <= GRAD_TOL, ``converged``),
+    "iterations", "no_descent" (no Armijo step down to t < 1e-16) or
+    "unbounded" (a gradient outside the Hessian's range: D is off the atoms'
+    affine hull, where the objective is linear, and the inf is -inf).  ``d``
+    is a kappa x kappa Gram matrix; one ``_Prepared`` serves every walk.
     """
     opt = opt or OptimizerSpec()
     d = validate_gram(d, name="constraint matrix D", kappa=prior.kappa)
@@ -897,38 +901,30 @@ def phi_star(model, prior, d, path: Path, spec: EvalSpec,
         v, g = rec.value_and_grad(l)
         return v - float(l @ d_upper), g - d_upper
 
-    def value_only(l):
-        v, _ = rec.value(l)
-        return v - float(l @ d_upper)
-
     f, g = value_and_grad(lam)
-    best = (f, lam.copy())
-    it = 0
-    converged = False
-    step = LAMBDA_STEP
+    it, reason = 0, "iterations"
     for it in range(1, opt.max_iter + 1):
-        gnorm = float(np.max(np.abs(g)))
-        if gnorm <= GRAD_TOL:
-            converged = True
+        if float(np.max(np.abs(g))) <= GRAD_TOL:
+            reason = "gradient"
             break
-        accepted = False
-        while step > 1e-16:
-            trial = lam - step * g
-            ft = value_only(trial)
-            if ft <= f - 1e-4 * step * float(g @ g):
-                accepted = True
+        h = 1e-4  # central differences carry ~1e-12 noise; rcond drops it as flat
+        hess = np.array([value_and_grad(lam + e)[1] - value_and_grad(lam - e)[1]
+                         for e in np.eye(lam.size) * h]) / (2.0 * h)
+        hess = (hess + hess.T) / 2.0
+        step = -np.linalg.pinv(hess, rcond=1e-10, hermitian=True) @ g
+        if float(np.max(np.abs(g + hess @ step))) > GRAD_TOL:
+            reason = "unbounded"
+            break
+        slope = float(g @ step)
+        for t in 0.5 ** np.arange(54):  # halves down to 2^-53, the last above 1e-16
+            ft, gt = value_and_grad(lam + t * step)
+            if ft <= f + 1e-4 * t * slope:
                 break
-            step *= 0.5
-        if not accepted:
+        else:
+            reason = "no_descent"
             break
-        lam = trial
-        f, g = value_and_grad(lam)
-        if f < best[0]:
-            best = (f, lam.copy())
-        # the accepted step seeds the next try, growing while accepts are easy
-        step = min(step * 2.0, 1e3 * LAMBDA_STEP)
-    value, lam = best
-    return PhiStarResult(value, lam, converged, it, float(np.max(np.abs(g))))
+        lam, f, g = lam + t * step, ft, gt
+    return PhiStarResult(f, lam, reason == "gradient", it, float(np.max(np.abs(g))), reason)
 
 
 # ---------------------------------------------------------------------------
@@ -1058,11 +1054,11 @@ def optimize(model: MixedModel, prior: SpinPrior, r: int, spec: EvalSpec,
 
     The outer variable is a weight vector on the hull generators
     (simplex-projected ascent with a finite-difference gradient); the inner
-    problem alternates the exact lambda descent with derivative-free path
+    problem alternates the Newton lambda solve with derivative-free path
     descent, run in both orderings, keeping the smaller value.  Degenerate
     hulls (all generators equal) skip the outer loop.  ``converged`` holds
     when the winning start's ascent stopped on its gradient or step rule
-    (or the hull is degenerate) and its final lambda descent converged.
+    (or the hull is degenerate) and its final lambda solve converged.
     """
     if r < 1:
         raise ValidationError("level budget r must be >= 1")

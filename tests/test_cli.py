@@ -265,6 +265,31 @@ class TestShippedConfigs:
             assert code == 0, command
             assert all(c["pass"] for c in report["checks"]), command
 
+    def test_phistar_heisenberg_like_converges(self, capsys):
+        code, report = run(capsys, "phistar", "--config",
+                           str(CONFIGS / "heisenberg_like.yaml"))
+        assert code == 0
+        comp = report["components"]
+        assert comp["converged"] and comp["stop_reason"] == "gradient"
+        assert comp["iterations"] <= 10
+        assert report["value"] == pytest.approx(0.056330775193568, rel=0.0, abs=1e-12)
+        assert report["warnings"] == []
+
+    def test_phistar_off_hull_reports_unbounded(self, tmp_path, capsys):
+        # every heisenberg_like atom has sigma_1 sigma_2 = 0, so D_12 = 0.1 is
+        # out of reach and the objective falls linearly along lambda_12
+        text = (CONFIGS / "heisenberg_like.yaml").read_text()
+        off = text.replace("[[0.5, 0.0], [0.0, 0.5]]", "[[0.5, 0.1], [0.1, 0.5]]").replace(
+            "[[0.25, 0.0], [0.0, 0.25]]", "[[0.25, 0.05], [0.05, 0.25]]")
+        assert off.count("0.1], [0.1") == 2
+        code, report = run(capsys, "phistar", "--config", write(tmp_path, off))
+        assert code == 0
+        comp = report["components"]
+        assert not comp["converged"] and comp["stop_reason"] == "unbounded"
+        assert comp["iterations"] <= 2
+        assert report["warnings"] == [
+            "lambda solve stopped: D is off the atoms' affine hull, the infimum is -inf"]
+
     def test_gg_report_on_fe_small(self, capsys):
         code, report = run(capsys, "gg", "--config", str(CONFIGS / "fe_small.yaml"))
         assert code == 0

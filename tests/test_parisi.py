@@ -39,6 +39,7 @@ from vecspin.parisi import (
     _prior_plan,
     increments,
     level_plan,
+    lambda_indices,
     lambda_pairing,
     project_simplex,
     theta_correction,
@@ -59,6 +60,11 @@ SK_HALF = MixedModel(1, {2: [0.5]})
 COUNTING_ISING = ising_prior(1)
 PROB_ISING = ising_prior(1, normalized=True)
 UNIT_PATH = Path([1.0], [[[1.0]]])
+# configs/heisenberg_like.yaml
+HEIS_MODEL = MixedModel(2, {2: [0.4, 0.25], 4: [0.1, 0.0]})
+HEIS_PRIOR = SpinPrior.from_atoms([([1.0, 0.0], 0.25), ([-1.0, 0.0], 0.25),
+                                   ([0.0, 1.0], 0.25), ([0.0, -1.0], 0.25)])
+HEIS_PATH = Path([0.4, 0.8], [0.25 * np.eye(2), 0.5 * np.eye(2)])
 
 
 def gh(n=80):
@@ -723,6 +729,16 @@ class TestPathLipschitz:
         assert worst < 50.0
 
 
+class TestLambdaIndices:
+    def test_cached_read_only(self):
+        for k in (1, 2, 3, 5):
+            iu = lambda_indices(k)
+            assert iu is lambda_indices(k)
+            for got, want in zip(iu, np.triu_indices(k)):
+                np.testing.assert_array_equal(got, want)
+                assert not got.flags.writeable
+
+
 class TestPhiStar:
     def test_free_model_constant_objective(self):
         m0 = MixedModel(1, {})
@@ -749,6 +765,42 @@ class TestPhiStar:
         assert res.converged
         _, grad = phi_grad_lambda(m, prior, res.lam, path, QUAD)
         np.testing.assert_allclose(grad, [0.5], atol=1e-6)
+
+    def test_off_hull_stops_unbounded(self):
+        # sigma_1 sigma_2 = 0 on every atom, so D_12 = 0.1 cannot be reached:
+        # the objective is linear in lambda_12 and its infimum is -inf
+        d = np.array([[0.5, 0.1], [0.1, 0.5]])
+        res = phi_star(HEIS_MODEL, HEIS_PRIOR, d, Path([0.4, 0.8], [0.5 * d, d]),
+                       EvalSpec(nodes_per_level=10))
+        assert not res.converged and res.stop_reason == "unbounded"
+        assert res.iterations <= 2
+        assert math.isfinite(res.value)
+
+    def test_hull_boundary_converges(self):
+        # D = 1 is the top of the hull [0, 1]: the infimum is approached as
+        # lambda -> inf and the gradient decays below GRAD_TOL on the way
+        prior = SpinPrior.from_atoms([([1.0], 0.4), ([-1.0], 0.4), ([0.0], 0.2)])
+        d = np.array([[1.0]])
+        res = phi_star(MixedModel(1, {2: [0.4]}), prior, d, Path([0.5], [d]), QUAD)
+        assert res.converged and res.stop_reason == "gradient"
+
+    def test_iteration_budget_reason(self):
+        prior = SpinPrior.from_atoms([([1.0], 0.4), ([-1.0], 0.4), ([0.0], 0.2)])
+        d = np.array([[0.5]])
+        res = phi_star(MixedModel(1, {2: [0.4]}), prior, d, Path([0.5], [d]), QUAD,
+                       OptimizerSpec(max_iter=1))
+        assert not res.converged and res.stop_reason == "iterations"
+        assert res.iterations == 1
+
+    def test_monte_carlo_backend(self):
+        # the draws are fixed per seed, so the Hessian differences one sampled tree
+        spec = EvalSpec(backend="monte_carlo", samples_per_level=64, replications=4, seed=3)
+        d = 0.5 * np.eye(2)
+        res = phi_star(HEIS_MODEL, HEIS_PRIOR, d, HEIS_PATH, spec)
+        assert res.converged
+        phi, _ = eval_phi(HEIS_MODEL, HEIS_PRIOR, res.lam, HEIS_PATH, spec)
+        assert res.value == pytest.approx(phi - lambda_pairing(res.lam, d), rel=0.0,
+                                          abs=1e-12)
 
     def test_malformed_constraint_rejected(self):
         path = Path([0.5], [[[1.0]]])
