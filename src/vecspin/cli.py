@@ -261,9 +261,7 @@ def _cmd_phistar(cfg, args):
     opt = build_optimizer_spec(cfg, args)
     d, _ = _constraint(cfg, path)
     res = parisi.phi_star(model, prior, d, path, spec, opt)
-    why = {"iterations": "hit the iteration budget", "no_descent": "found no descent step",
-           "unbounded": "stopped: D is off the atoms' affine hull, the infimum is -inf"}
-    warnings = [] if res.converged else [f"lambda solve {why[res.stop_reason]}"]
+    warnings = [] if res.converged else [f"lambda solve stopped: {res.stop_reason}"]
     return {
         "value": res.value,
         "std_error": 0.0 if spec.is_quadrature else None,

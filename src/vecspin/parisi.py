@@ -881,21 +881,24 @@ def phi_star(model, prior, d, path: Path, spec: EvalSpec,
              opt: OptimizerSpec | None = None, lam0=None) -> PhiStarResult:
     """inf over lambda of -<lambda, D> + Phi(lambda), by damped Newton steps.
 
-    The objective is convex and smooth in lambda.  The Hessian, the central
-    difference of the exact gradient, is pseudo-inverted, so flat directions
-    (lambda_11 + lambda_22 for atoms of fixed norm) take no step.  Steps are
-    halved until they pass the Armijo rule, so the last iterate is the best.
-    ``stop_reason``: "gradient" (max |g| <= GRAD_TOL, ``converged``),
-    "iterations", "no_descent" (no Armijo step down to t < 1e-16) or
-    "unbounded" (a gradient outside the Hessian's range: D is off the atoms'
-    affine hull, where the objective is linear, and the inf is -inf).  ``d``
-    is a kappa x kappa Gram matrix; one ``_Prepared`` serves every walk.
+    lambda moves only the atom scores <lambda, P_a> (P_a: the atom's pair
+    products), so the convex objective is linear along directions with one
+    <n, P_a> for all atoms (lambda_11 + lambda_22 for atoms of fixed norm).
+    Newton works in the span of the P_a - P_0, on the central difference of
+    the exact gradient with eigenvalues floored at 1e-10 of the largest, and
+    halves each step until it passes the Armijo rule.  ``stop_reason``:
+    "gradient" (max |g| <= GRAD_TOL, ``converged``), "iterations",
+    "no_descent" (no Armijo step down to t < 1e-16) or "unbounded" (a
+    gradient along the flat directions: D is off the atoms' affine hull and
+    the inf is -inf).  ``d`` is a kappa x kappa Gram matrix.
     """
     opt = opt or OptimizerSpec()
     d = validate_gram(d, name="constraint matrix D", kappa=prior.kappa)
     d_upper = upper_entries(d)
     lam = lambda_zero(prior.kappa) if lam0 is None else lambda_validate(lam0, prior.kappa)
     rec = _Prepared(model, prior, path, spec)
+    _, sv, vt = np.linalg.svd(rec.pair[1:] - rec.pair[0])
+    span, flat = np.split(vt, [int(np.sum(sv > 1e-10 * sv.max(initial=0.0)))])
 
     def value_and_grad(l):
         v, g = rec.value_and_grad(l)
@@ -907,18 +910,17 @@ def phi_star(model, prior, d, path: Path, spec: EvalSpec,
         if float(np.max(np.abs(g))) <= GRAD_TOL:
             reason = "gradient"
             break
-        h = 1e-4  # central differences carry ~1e-12 noise; rcond drops it as flat
-        hess = np.array([value_and_grad(lam + e)[1] - value_and_grad(lam - e)[1]
-                         for e in np.eye(lam.size) * h]) / (2.0 * h)
-        hess = (hess + hess.T) / 2.0
-        step = -np.linalg.pinv(hess, rcond=1e-10, hermitian=True) @ g
-        if float(np.max(np.abs(g + hess @ step))) > GRAD_TOL:
+        if float(np.linalg.norm(flat @ g)) > GRAD_TOL:
             reason = "unbounded"
             break
+        hess = np.array([value_and_grad(lam + e)[1] - value_and_grad(lam - e)[1]
+                         for e in span * 1e-4]) @ span.T / 2e-4
+        w, v = np.linalg.eigh((hess + hess.T) / 2.0)
+        step = -span.T @ (v @ ((v.T @ (span @ g)) / np.maximum(w, 1e-10 * w[-1])))
         slope = float(g @ step)
         for t in 0.5 ** np.arange(54):  # halves down to 2^-53, the last above 1e-16
             ft, gt = value_and_grad(lam + t * step)
-            if ft <= f + 1e-4 * t * slope:
+            if ft < f and ft <= f + 1e-4 * t * slope:  # not a step lost to rounding
                 break
         else:
             reason = "no_descent"

@@ -778,10 +778,26 @@ class TestPhiStar:
 
     def test_hull_boundary_converges(self):
         # D = 1 is the top of the hull [0, 1]: the infimum is approached as
-        # lambda -> inf and the gradient decays below GRAD_TOL on the way
+        # lambda -> inf and the gradient decays below GRAD_TOL on the way; the
+        # limit is Phi(0) of the +-1 atoms alone
+        m, path = MixedModel(1, {2: [0.4]}), Path([0.5], [[[1.0]]])
         prior = SpinPrior.from_atoms([([1.0], 0.4), ([-1.0], 0.4), ([0.0], 0.2)])
-        d = np.array([[1.0]])
-        res = phi_star(MixedModel(1, {2: [0.4]}), prior, d, Path([0.5], [d]), QUAD)
+        res = phi_star(m, prior, np.array([[1.0]]), path, QUAD)
+        assert res.converged and res.stop_reason == "gradient"
+        limit, _ = eval_phi(m, SpinPrior.from_atoms([([1.0], 0.4), ([-1.0], 0.4)]),
+                            lambda_zero(1), path, QUAD)
+        assert 0.0 < res.value - limit < 1e-7
+
+    def test_thin_hull_converges(self):
+        # the last atom's norm is 1 + 1e-5, so the pair products lie within
+        # 1e-5 of a plane: D inside this thin hull has a finite infimum, at
+        # |lambda| ~ 1e5, and no direction of lambda is exactly flat
+        pts = np.array([[1.0, 0.0], [0.0, 1.0], [0.6, 0.8], [0.8, -0.6]])
+        pts[3] *= 1.0 + 1e-5
+        prior = SpinPrior.from_atoms([(p, 0.25) for p in pts])
+        d = sum(w * np.outer(p, p) for w, p in zip([0.1, 0.2, 0.3, 0.4], pts))
+        m = MixedModel(2, {2: [0.3, 0.35], 4: [0.4, 0.5]})
+        res = phi_star(m, prior, d, Path([0.5], [d]), EvalSpec(nodes_per_level=10))
         assert res.converged and res.stop_reason == "gradient"
 
     def test_iteration_budget_reason(self):
