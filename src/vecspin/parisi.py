@@ -881,16 +881,14 @@ def phi_star(model, prior, d, path: Path, spec: EvalSpec,
              opt: OptimizerSpec | None = None, lam0=None) -> PhiStarResult:
     """inf over lambda of -<lambda, D> + Phi(lambda), by damped Newton steps.
 
-    lambda moves only the atom scores <lambda, P_a> (P_a: the atom's pair
-    products), so the convex objective is linear along directions with one
-    <n, P_a> for all atoms (lambda_11 + lambda_22 for atoms of fixed norm).
-    Newton works in the span of the P_a - P_0, on the central difference of
-    the exact gradient with eigenvalues floored at 1e-10 of the largest, and
-    halves each step until it passes the Armijo rule.  ``stop_reason``:
-    "gradient" (max |g| <= GRAD_TOL, ``converged``), "iterations",
-    "no_descent" (no Armijo step down to t < 1e-16) or "unbounded" (a
-    gradient along the flat directions: D is off the atoms' affine hull and
-    the inf is -inf).  ``d`` is a kappa x kappa Gram matrix.
+    lambda moves only the atom scores <lambda, P_a> (P_a: pair products), so
+    the convex objective is linear along directions with one <n, P_a> for
+    all atoms.  Newton works in the span of the P_a - P_0 on the central
+    difference of the exact gradient, eigenvalues floored at 1e-10 of the
+    largest, halving each step until it passes the Armijo rule.  It stops on
+    max |g| <= GRAD_TOL ("gradient"), ``max_iter``, no Armijo step down to
+    t < 1e-16 ("no_descent"), or D off the atoms' hull ("unbounded": a flat
+    direction's gradient, or no curvature left in the span; inf = -inf).
     """
     opt = opt or OptimizerSpec()
     d = validate_gram(d, name="constraint matrix D", kappa=prior.kappa)
@@ -916,11 +914,13 @@ def phi_star(model, prior, d, path: Path, spec: EvalSpec,
         hess = np.array([value_and_grad(lam + e)[1] - value_and_grad(lam - e)[1]
                          for e in span * 1e-4]) @ span.T / 2e-4
         w, v = np.linalg.eigh((hess + hess.T) / 2.0)
+        if w[-1] <= 0.0:
+            reason = "unbounded"
+            break
         step = -span.T @ (v @ ((v.T @ (span @ g)) / np.maximum(w, 1e-10 * w[-1])))
-        slope = float(g @ step)
         for t in 0.5 ** np.arange(54):  # halves down to 2^-53, the last above 1e-16
             ft, gt = value_and_grad(lam + t * step)
-            if ft < f and ft <= f + 1e-4 * t * slope:  # not a step lost to rounding
+            if ft < f and ft <= f + 1e-4 * t * float(g @ step):  # not lost to rounding
                 break
         else:
             reason = "no_descent"

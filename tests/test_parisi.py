@@ -776,6 +776,20 @@ class TestPhiStar:
         assert res.iterations <= 2
         assert math.isfinite(res.value)
 
+    def test_outside_convex_hull_stops_unbounded(self):
+        # D on the atoms' affine hull but outside their convex hull: lambda
+        # runs off until the Gibbs weights sit on one atom and no curvature is
+        # left, beyond one atom (kappa = 1) and beyond a face of three atoms
+        # of norm 1 (kappa = 2)
+        three = SpinPrior.from_atoms([([1.0], 0.4), ([-1.0], 0.4), ([0.0], 0.2)])
+        face = SpinPrior.from_atoms([([1.0, 0.0], 0.3), ([0.0, 1.0], 0.3),
+                                     ([0.6, 0.8], 0.2), ([0.0, 0.0], 0.2)])
+        for m, prior, d in ((MixedModel(1, {2: [0.4]}), three, np.array([[1.5]])),
+                            (MixedModel(2, {2: [0.3, 0.35]}), face, np.diag([0.6, 0.6]))):
+            res = phi_star(m, prior, d, Path([0.5], [d]), EvalSpec(nodes_per_level=10))
+            assert not res.converged and res.stop_reason == "unbounded"
+            assert res.iterations <= 10 and math.isfinite(res.value)
+
     def test_hull_boundary_converges(self):
         # D = 1 is the top of the hull [0, 1]: the infimum is approached as
         # lambda -> inf and the gradient decays below GRAD_TOL on the way; the
