@@ -50,7 +50,9 @@ estimator in ``rpc`` shares ``_grow``, ``_sampled_levels`` and ``_scores``.
 The innermost quadrature level is not grown: the field enters linearly,
 so atom a at child c of parent q scores A[a, q] + B[a, c], B from the
 offsets all parents share, and a block's atom sums are one product
-exp(B)^T exp(A) (``_bottom_separable``).  Sampled levels give each parent
+S = exp(B)^T exp(A), which the same kernel folds over that level, with no
+value per child: a power of S per parent, and one more product for the
+lambda gradient (``_bottom_separable``).  Sampled levels give each parent
 its own offsets, so Monte Carlo and the cascades have no shared B and grow
 every level; so does a quadrature walk whose product could underflow, as
 one bound taken from its levels decides (``_shared_nodes``).
@@ -81,7 +83,7 @@ from .mixing import (
     xi_prime_matrix,
 )
 from .prior import ConstraintHull, SpinPrior
-from .rng import check_replications, mean_and_se, parallel_map, spawn_rng
+from .rng import check_replications, check_threads, mean_and_se, parallel_map, spawn_rng
 
 #: Below this, an x value is treated as exactly zero (plain expectation branch).
 X_TINY = 1e-8
@@ -95,10 +97,10 @@ MAX_ENTRIES = 1 << 24
 
 #: Entries in one block of the walk; it bounds the memory of both backends:
 #: points times that width, or, for a separable quadrature walk, parents
-#: times exp(A)'s atoms or their children's values or lambda gradients.  A
-#: block's arrays then stay in cache at 128 KiB per float array; in sweeps
-#: of 2^12..2^18 on grown blocks, 2^14..2^16 ran close and no size was
-#: fastest in every round.
+#: times the widest of exp(A)'s atoms, their children's atom sums and their
+#: lambda gradients.  A block's arrays then stay in cache at 128 KiB per
+#: float array; in sweeps of 2^12..2^18 on grown blocks, 2^14..2^16 ran
+#: close and no size was fastest in every round.
 BLOCK_ENTRIES = 1 << 14
 
 #: Limit on a walk's bound of the spread (max - min over atoms) of A for one
@@ -385,12 +387,12 @@ class EvalSpec:
     scalar dimension of each plan level; exact, std_error 0.  monte_carlo:
     ``samples_per_level`` child draws per node, ``replications`` independent
     trees for the standard error.  Either is refused beyond ``MAX_ENTRIES``,
-    a bound on work; the memory of either is bounded by one block of
-    ``BLOCK_ENTRIES`` entries and one value per outer point.  A block that
-    grows every level (Monte Carlo, or a quadrature walk that is not
-    separable) holds at least one innermost level; a separable quadrature
-    walk also holds exp(B) of its innermost level, n_atoms times that
-    level's nodes.
+    a bound on work; the memory of either is a few arrays of one block,
+    ``BLOCK_ENTRIES`` entries each, plus the walk's outer points with their
+    values and lambda gradients.  A block that grows every level (Monte
+    Carlo, or a quadrature walk that is not separable) holds at least one
+    innermost level; a separable quadrature walk folds that level per
+    parent, and holds its exp(B), n_atoms times its nodes.
     """
 
     backend: str = "quadrature"
@@ -406,6 +408,7 @@ class EvalSpec:
         if self.nodes_per_level < 1 or self.samples_per_level < 1:
             raise ValidationError("node and sample counts must be positive")
         check_replications(self.replications)
+        check_threads(self.threads)
         if self.seed < 0:
             raise ValidationError(f"seed must be >= 0, got {self.seed}")
 
@@ -512,18 +515,25 @@ def _shared_nodes(points: np.ndarray, levels):
 
 
 def _bottom_separable(points: np.ndarray, base: np.ndarray, z: np.ndarray, nodes,
-                      pair=None):
+                      lw: np.ndarray, x: float, pair=None):
     """The bottom layer over the children of parents z (Q, kappa) at shared
-    offsets o_c, without growing them; ``nodes`` is ``_shared_nodes(...)[0]``.
+    offsets o_c, folded over them with log-weights ``lw`` at ``x``, without
+    growing them; ``nodes`` is ``_shared_nodes(...)[0]``.
 
     Child c of parent q scores A[a, q] + B[a, c], with A = <sigma, z> + base
     (n_atoms, Q).  Shifted by column maxima, the atom sums are one product
-    S = exp(B)^T exp(A), and the values log S + m_B + m_A come node-major,
-    as ``_grow`` lays children out (point c * Q + q).  With ``pair``
-    (n_atoms, C) it also returns the Gibbs averages of the pair products,
-    (n * Q, C), as C more products exp(B)^T (pair[:, k] exp(A)) / S.  The
-    walk calls it only when ``_shared_nodes``' bound finds it separable, so
-    no term of S underflows.
+    S = exp(B)^T exp(A), and child c's value is log S + m_B + m_A.  With
+    k = x m_B + lw, top = max k and u = exp(k - top), a parent's value is
+    m_A + (top + log(u @ S^x)) / x, or w @ (log S + m_B + m_A) below
+    ``X_TINY`` (w = exp(lw)), (Q,).  With ``pair`` (n_atoms, C) it also
+    returns the lambda gradient, (Q, C), as one product (exp(A) * (exp(B) @
+    W))^T pair with W = u S^x / (u @ S^x) / S, or w / S below ``X_TINY``.
+
+    Nothing underflows to zero or overflows: the walk calls it only when
+    ``_shared_nodes``' bound finds it separable, so every term of S, and so
+    S, exceeds the smallest normal float; u <= 1, S^x <= n_atoms, and the
+    top child (u = 1) has S^x >= S, so u @ S^x is at least that float, and
+    W at most 1 / S.
     """
     eb, m_b = nodes
     a = _scores(points, z)
@@ -532,14 +542,24 @@ def _bottom_separable(points: np.ndarray, base: np.ndarray, z: np.ndarray, nodes
     a -= m_a
     ea = np.exp(a, out=a)
     sums = eb.T @ ea
-    values = (np.log(sums) + m_b[:, None] + m_a).reshape(-1)
+    logs = np.log(sums)
+    if x < X_TINY:
+        # child values first: near 0, w @ log S and w @ m_B cancel m_A
+        w = np.exp(lw)
+        values = w @ (logs + m_b[:, None] + m_a)
+        weights = w[:, None]
+    else:
+        k = x * m_b + lw
+        top = k.max()
+        u = np.exp(k - top)
+        logs *= x
+        weights = np.exp(logs, out=logs)
+        total = u @ weights
+        values = m_a + (top + np.log(total)) / x
+        weights *= u[:, None] / total
     if pair is None:
         return values, None
-    grads = np.empty(sums.shape + (pair.shape[1],))
-    for k, p in enumerate(pair.T):
-        grads[:, :, k] = eb.T @ (ea * p[:, None])
-    grads /= sums[:, :, None]
-    return values, grads.reshape(-1, pair.shape[1])
+    return values, (ea * (eb @ (weights / sums))).T @ pair
 
 
 def eval_inner(prior: SpinPrior, lam, z_sum, external_field=None) -> float:
@@ -662,7 +682,8 @@ class _Prepared:
     entries fit one block: points x width, or parents x the widest
     per-parent array when separable.  A block is a run of prefix points with
     their whole suffix subtrees: it is grown, scored, reduced over atoms and
-    folded over the suffix levels; the prefix levels fold last.
+    folded over the suffix levels (when separable, the innermost with the
+    scores); the prefix levels fold last.
     """
 
     def __init__(self, model, prior, path, spec: EvalSpec):
@@ -718,10 +739,8 @@ class _Prepared:
         if nodes is None:
             grown, unit = levels, width
         else:
-            # entries per parent: exp(A), and its children's values or gradients
-            grown = levels[:-1]
-            unit = max(self.prior.n_atoms, kappa,
-                       levels[-1][1].size * (lambda_size(kappa) if want_grad else 1))
+            # entries per parent: exp(A), its children's atom sums, its gradient
+            grown, unit = levels[:-1], max(width, levels[-1][1].size)
         # a grown block holds at least one whole innermost level
         cut, inner = len(grown), 1
         while cut > 0 and (cut == len(levels)
@@ -742,8 +761,9 @@ class _Prepared:
             if nodes is None:
                 v, g = _bottom(points, base, z, pair)
             else:
-                v, g = _bottom_separable(points, base, z, nodes, pair)
-            v, g = _fold(v, logws[cut:], self.x_seq[cut:], g)
+                v, g = _bottom_separable(points, base, z, nodes, logws[-1],
+                                         self.x_seq[-1], pair)
+            v, g = _fold(v, logws[cut:len(grown)], self.x_seq[cut:len(grown)], g)
             vals.append(v)
             grads.append(g)
         v, g = _fold(np.concatenate(vals), logws[:cut], self.x_seq[:cut],

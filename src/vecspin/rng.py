@@ -33,12 +33,19 @@ def parallel_map(fn, n_tasks: int, threads: int = 1) -> list:
     Results are independent of ``threads``; the thread pool only changes
     scheduling, never the per-task seeds or the reduction order.
     """
-    if threads <= 1 or n_tasks <= 1:
+    check_threads(threads)
+    if threads == 1 or n_tasks <= 1:
         return [fn(i) for i in range(n_tasks)]
     from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(fn, range(n_tasks)))
+
+
+def check_threads(n: int) -> None:
+    """Raise ValidationError unless ``n`` asks for at least one thread."""
+    if n < 1:
+        raise ValidationError(f"threads must be >= 1, got {n}")
 
 
 def check_replications(n: int) -> None:

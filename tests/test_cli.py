@@ -346,6 +346,15 @@ class TestExitCodes:
             assert code == 0, path.name
             assert report["command"] == "validate"
 
+    @pytest.mark.parametrize("command,config", [
+        ("phi", SK_CONFIG), ("fe", FE_CONFIG), ("rpc-check", RPC_CONFIG)],
+        ids=["phi", "fe", "rpc-check"])
+    def test_threads_below_one(self, command, config, tmp_path, capsys):
+        cfg = write(tmp_path, config)
+        for threads in ("0", "-3"):
+            assert main([command, "--config", cfg, "--threads", threads]) == 3, threads
+            assert "threads must be >= 1" in capsys.readouterr().err
+
     def test_zero_disorder_draws(self, tmp_path, capsys):
         cfg = write(tmp_path, FE_CONFIG.replace("n_disorder: 40", "n_disorder: 0"))
         for command in ("fe", "fe-constrained", "cov-check", "gg"):

@@ -32,11 +32,16 @@ from vecspin.parisi import (
     BLOCK_ENTRIES,
     SEPARABLE_SPREAD,
     _atom_base,
+    _atom_pair_products,
     _bottom,
     _bottom_separable,
+    _fold,
+    _grow,
     _logsumexp,
     _Prepared,
     _prior_plan,
+    _quad_levels,
+    _shared_nodes,
     increments,
     level_plan,
     lambda_indices,
@@ -45,7 +50,7 @@ from vecspin.parisi import (
     theta_correction,
     theta_correction_rearranged,
 )
-from vecspin.rng import spawn_rng
+from vecspin.rng import parallel_map, spawn_rng
 
 from conftest import (
     random_lambda,
@@ -407,6 +412,29 @@ class TestEvalPhi:
                 tracemalloc.stop()
                 assert peak < 16 << 20
 
+    def test_separable_gradient_memory_is_a_few_blocks(self):
+        import tracemalloc
+
+        # kappa = 1, 6 distinct levels at 12 nodes, 2 atoms: separable.  Each
+        # of the 12^5 parents takes max(2 atoms, 12 nodes, 1 slot) entries, so
+        # a block is 9 prefixes of 12^2 parents each, and there are 12^3 prefix
+        # points, each with 1 coordinate and 1 value and 1 gradient, listed
+        # and then concatenated.  The peak is a few block arrays beyond them
+        rng = spawn_rng(29)
+        m = random_model(rng, 1)
+        prior = random_prior(rng, 1, n_atoms=2)
+        path = random_path(rng, 1, 6, x_lo=0.05, x_hi=0.95)
+        lam = random_lambda(rng, 1)
+        spec = EvalSpec(nodes_per_level=12)
+        assert level_plan(m, path).x.size == 6
+        phi_grad_lambda(m, prior, lam, path, spec)
+        tracemalloc.start()
+        phi_grad_lambda(m, prior, lam, path, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        prefixes = 12 ** 3 * (1 + 2 * (1 + 1)) * 8
+        assert peak < 6 * BLOCK_ENTRIES * 8 + prefixes
+
     def test_monte_carlo_memory_is_one_block(self, monkeypatch):
         import tracemalloc
 
@@ -464,6 +492,18 @@ class TestEvalPhi:
         with pytest.raises(ValidationError, match="seed"):
             spawn_rng(-1, 0)
 
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_threads_below_one_rejected(self, threads):
+        with pytest.raises(ValidationError, match="threads"):
+            EvalSpec(threads=threads)
+        with pytest.raises(ValidationError, match="threads"):
+            EvalSpec(backend="monte_carlo", threads=threads)
+        # also where a single task would run without a pool
+        for tasks in (1, 4):
+            with pytest.raises(ValidationError, match="threads"):
+                parallel_map(lambda i: i, tasks, threads)
+        assert parallel_map(lambda i: i * i, 4, 2) == [0, 1, 4, 9]
+
     def test_mc_determinism_across_threads(self):
         spec1 = EvalSpec(backend="monte_carlo", samples_per_level=64,
                          replications=8, seed=77, threads=1)
@@ -475,6 +515,42 @@ class TestEvalPhi:
         v1 = eval_phi(m, prior, lambda_zero(2), path, spec1)
         v8 = eval_phi(m, prior, lambda_zero(2), path, spec8)
         assert v1 == v8
+
+
+class TestSeparableKernel:
+    @pytest.mark.parametrize("kappa", [1, 2])
+    @pytest.mark.parametrize("atoms", [1, 2, 64])
+    def test_matches_grown_level_folded(self, kappa, atoms):
+        # the fused kernel against growing the innermost level, scoring it
+        # with _bottom and folding it with _fold, on random parents.  Values
+        # are compared at 1e-13 of max(1, |value|), gradients at 1e-13 of the
+        # largest pair product: both can sit near 0, where the sums they
+        # come from are O(1).  At x = 1e-4 both forms divide a log by x and
+        # amplify its rounding 1e4 times, so that case allows 1e-10.
+        rng = spawn_rng(32, kappa, atoms)
+        prior = random_prior(rng, kappa, n_atoms=atoms)
+        pair = _atom_pair_products(prior)
+        for _ in range(3):
+            factor = rng.normal(0.0, 0.7, size=(kappa, kappa))
+            level = _quad_levels([factor], 8 if kappa == 1 else 5)
+            nodes, spread = _shared_nodes(prior.points, level)
+            (offs, lw), = level
+            z = rng.normal(0.0, 1.5, size=(37, kappa))
+            base = rng.uniform(-2.0, 2.0, size=atoms)
+            assert spread + np.ptp(base) < SEPARABLE_SPREAD
+            v, g = _bottom(prior.points, base, _grow(z, offs), pair)
+            for x, tol in ((0.0, 1e-13), (0.05, 1e-13), (0.5, 1e-13), (0.97, 1e-13),
+                           (1e-4, 1e-10)):
+                want, want_g = _fold(v, [lw], [x], g)
+                got, got_g = _bottom_separable(prior.points, base, z, nodes, lw, x, pair)
+                assert got.shape == (37,) and got_g.shape == (37, pair.shape[1])
+                np.testing.assert_array_less(
+                    np.abs(got - want), tol * np.maximum(1.0, np.abs(want)))
+                np.testing.assert_allclose(got_g, want_g, rtol=0,
+                                           atol=1e-13 * np.abs(pair).max())
+                alone, none = _bottom_separable(prior.points, base, z, nodes, lw, x)
+                assert none is None
+                np.testing.assert_array_equal(alone, got)
 
 
 def prepared_cases(rng):
