@@ -532,8 +532,8 @@ def _bottom_separable(points: np.ndarray, base: np.ndarray, z: np.ndarray, nodes
     Nothing underflows to zero or overflows: the walk calls it only when
     ``_shared_nodes``' bound finds it separable, so every term of S, and so
     S, exceeds the smallest normal float; u <= 1, S^x <= n_atoms, and the
-    top child (u = 1) has S^x >= S, so u @ S^x is at least that float, and
-    W at most 1 / S.
+    top child (u = 1) has S^x >= min(S, 1), so u @ S^x is at least that
+    float, and W at most 1 / S.
     """
     eb, m_b = nodes
     a = _scores(points, z)
