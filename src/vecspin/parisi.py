@@ -556,7 +556,8 @@ def _bottom_separable(points: np.ndarray, base: np.ndarray, z: np.ndarray, nodes
         weights = np.exp(logs, out=logs)
         total = u @ weights
         values = m_a + (top + np.log(total)) / x
-        weights *= u[:, None] / total
+        if pair is not None:
+            weights *= u[:, None] / total
     if pair is None:
         return values, None
     return values, (ea * (eb @ (weights / sums))).T @ pair
