@@ -22,7 +22,7 @@ from . import parisi, rpc, system
 from .errors import BudgetError, InfeasibleError, NumericalError, ValidationError, as_int
 from .mixing import MixedModel, hamiltonian_covariance, validate_gram
 from .prior import ConstraintHull, SpinPrior, hull_membership
-from .rng import spawn_rng
+from .rng import check_threads, spawn_rng
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -460,6 +460,7 @@ def main(argv=None) -> int:
         return EXIT_PARSE
 
     try:
+        check_threads(args.threads)
         seed = _resolve_seed(cfg, args)
         result = _HANDLERS[args.command](cfg, args)
     except ValidationError as exc:

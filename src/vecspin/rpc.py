@@ -124,11 +124,16 @@ def _tree_log_weights(x: np.ndarray, fanout: int, rng) -> np.ndarray:
     ``rng``; an empty ``x`` gives the one leaf of weight 1 and draws nothing."""
     logw = np.zeros((1, 1))
     for zeta in x:
-        arrivals = rng.exponential(size=(logw.shape[0], fanout)).cumsum(axis=1)
+        arrivals = rng.exponential(size=(logw.shape[0], fanout))
+        # in place, as in ``_cascade``: -log(e_1 + ... + e_i) / zeta
+        np.cumsum(arrivals, axis=1, out=arrivals)
+        np.log(arrivals, out=arrivals)
+        arrivals /= -zeta
         # the parents' arrivals are drawn parent-major, and grow node-major
-        logw = _grow(logw, (-np.log(arrivals) / zeta).T[:, :, None])
+        logw = _grow(logw, arrivals.T[:, :, None])
     logw = logw.reshape(-1)
-    return logw - _logsumexp(logw)
+    logw -= _logsumexp(logw)
+    return logw
 
 
 def sample_cascade(x, fanout: int, seed) -> CascadeTree:
@@ -204,10 +209,17 @@ def _cascade(x, factors, points, base, fanout, replications, seed, threads):
         logw = _tree_log_weights(x, fanout, rng)
         for offs, _ in _sampled_levels(core, fanout, rng):
             z = _grow(z, offs)
+        # in place, as in ``parisi._bottom``: with fewer leaves x atoms
+        # temporaries, a replication's freed memory stays under the allocator's
+        # trim threshold, and the next replication reuses it without page faults
         scores = _scores(points, z)
+        del z
         scores += base[:, None]
         scores += logw
-        return float(_logsumexp(scores.reshape(-1)))
+        del logw
+        top = scores.max()
+        scores -= top
+        return float(top + np.log(np.exp(scores, out=scores).sum()))
 
     return mean_and_se(parallel_map(one, replications, threads))
 

@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import BudgetError, InfeasibleError, ValidationError, as_int
 from .mixing import MixedModel, validate_gram
+from .parisi import BLOCK_ENTRIES
 from .prior import SpinPrior, build_modifier, self_overlap
 from .rng import check_replications, mean_and_se, parallel_map, spawn_rng
 
@@ -24,7 +25,8 @@ from .rng import check_replications, mean_and_se, parallel_map, spawn_rng
 #: exact computations build; beyond it they raise BudgetError first.
 BUDGET = 10**7
 
-#: Disorder draws generated at once by the covariance Monte Carlo.
+#: Disorder draws per generator of the covariance Monte Carlo (chunk k draws
+#: from ``spawn_rng(seed, k)``), taken from it in row blocks of BLOCK_ENTRIES.
 COV_CHUNK = 20000
 
 
@@ -139,15 +141,14 @@ def _linear_covariance_mc(coeff_a: np.ndarray, coeff_b: np.ndarray,
     check_replications(n_disorder)
     ha = np.empty(n_disorder)
     hb = np.empty(n_disorder)
-    done = 0
-    block = 0
-    while done < n_disorder:
-        take = min(COV_CHUNK, n_disorder - done)
-        g = spawn_rng(seed, block).standard_normal((take, coeff_a.size))
-        ha[done:done + take] = g @ coeff_a
-        hb[done:done + take] = g @ coeff_b
-        done += take
-        block += 1
+    rows = max(1, BLOCK_ENTRIES // max(1, coeff_a.size))
+    for start in range(0, n_disorder, COV_CHUNK):
+        rng = spawn_rng(seed, start // COV_CHUNK)
+        end = min(start + COV_CHUNK, n_disorder)
+        for lo in range(start, end, rows):
+            g = rng.standard_normal((min(rows, end - lo), coeff_a.size))
+            ha[lo:lo + len(g)] = g @ coeff_a
+            hb[lo:lo + len(g)] = g @ coeff_b
     return mean_and_se((ha - ha.mean()) * (hb - hb.mean()))
 
 
@@ -550,7 +551,8 @@ def gg_discrepancy(model: MixedModel, prior: SpinPrior, spec: PerturbationSpec,
     ``d``; averages over replicas are exact enumerations per disorder draw,
     and only the disorder (and nothing else) is sampled.  ``f`` must be a
     vectorized functional of the (n, n, kappa, kappa) modified-overlap
-    array.  Estimates
+    array.  It is applied to slabs of the tuple grid, one run of first-replica
+    configurations at a time, so it must act tuple by tuple.  Estimates
 
         | E<f C_{1,n+1}> - (1/n) E<f> E<C_{1,2}>
           - (1/n) sum_{l=2..n} E<f C_{1,l}> |
@@ -572,20 +574,25 @@ def gg_discrepancy(model: MixedModel, prior: SpinPrior, spec: PerturbationSpec,
     pair_overlap = np.einsum("aik,bil->abkl", modified, modified) / n_sites
     c_matrix = term.covariance(pair_overlap)
 
-    # f evaluated once on the full tuple grid (draw independent); the draws
-    # read only the contiguous f_vals, so the grid is freed before them
+    # f evaluated once (draw independent) into the contiguous f_vals, one slab
+    # of first-replica configurations at a time: the whole grid is never built
     shape = (n_cfg,) * n_replicas
+    f_vals = np.empty(shape)
     grid = np.indices(shape, sparse=True)
-    rn = np.empty(shape + (n_replicas, n_replicas) + pair_overlap.shape[2:])
-    for i, gi in enumerate(grid):
-        for j, gj in enumerate(grid):
-            rn[..., i, j, :, :] = pair_overlap[gi, gj]
-    f_vals = np.ascontiguousarray(f(rn), dtype=float)
-    del rn
-    if f_vals.shape != shape:
-        raise ValidationError(
-            f"functional must map the tuple grid to shape {shape}, got {f_vals.shape}"
-        )
+    run = max(1, BLOCK_ENTRIES // (f_vals[0].size * (n_replicas * kappa) ** 2))
+    for start in range(0, n_cfg, run):
+        part = f_vals[start:start + run]
+        slab = [grid[0][start:start + run], *grid[1:]]
+        rn = np.empty(part.shape + (n_replicas, n_replicas) + pair_overlap.shape[2:])
+        for i, gi in enumerate(slab):
+            for j, gj in enumerate(slab):
+                rn[..., i, j, :, :] = pair_overlap[gi, gj]
+        out = np.asarray(f(rn), dtype=float)
+        if out.shape != part.shape:
+            raise ValidationError(
+                f"functional must map the tuple grid to shape {shape}, tuple by tuple; "
+                f"a slab of shape {part.shape} gave {out.shape}")
+        part[...] = out
 
     s_n = spec.strength(n_sites)
 

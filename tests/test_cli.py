@@ -347,8 +347,9 @@ class TestExitCodes:
             assert report["command"] == "validate"
 
     @pytest.mark.parametrize("command,config", [
-        ("phi", SK_CONFIG), ("fe", FE_CONFIG), ("rpc-check", RPC_CONFIG)],
-        ids=["phi", "fe", "rpc-check"])
+        ("phi", SK_CONFIG), ("fe", FE_CONFIG), ("rpc-check", RPC_CONFIG),
+        ("validate", SK_CONFIG), ("cov-check", FE_CONFIG)],
+        ids=["phi", "fe", "rpc-check", "validate", "cov-check"])
     def test_threads_below_one(self, command, config, tmp_path, capsys):
         cfg = write(tmp_path, config)
         for threads in ("0", "-3"):

@@ -11,6 +11,7 @@ from vecspin import (
     EvalSpec,
     MixedModel,
     Path,
+    SpinPrior,
     ValidationError,
     ancestor_depth,
     eval_inner,
@@ -208,6 +209,21 @@ class TestSimulatePhi:
                              fanout=fanout, replications=2)
             with pytest.raises(ValidationError, match="fanout"):
                 simulate_y_functional(SK_HALF, path, 4, fanout=fanout, replications=2)
+
+    def test_replication_memory_is_a_few_leaf_arrays(self):
+        # two levels at fanout 256, three atoms: 65,536 leaves.  A replication
+        # holds its (3, leaves) scores and at most three leaf arrays beside
+        # them: the weights, the field and its last level's draws
+        prior = SpinPrior.from_atoms([([1.0], 1.0), ([-1.0], 1.0), ([0.5], 2.0)])
+        path = Path([0.4, 0.8], [[[0.5]], [[1.0]]])
+        args = (SK_HALF, prior, lambda_zero(1), path)
+        simulate_phi(*args, fanout=256, replications=2, seed=1)
+        tracemalloc.start()
+        simulate_phi(*args, fanout=256, replications=2, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        leaf_array = 256**2 * 8
+        assert peak < (prior.n_atoms + 3) * leaf_array
 
     def test_threads_do_not_change_values(self):
         path = Path([0.5], [[[1.0]]])

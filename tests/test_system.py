@@ -27,6 +27,7 @@ from vecspin import (
     sample_disorder,
 )
 from vecspin import system
+from vecspin.parisi import BLOCK_ENTRIES
 from vecspin.system import (
     _constrained_configs,
     _modified_configs,
@@ -79,6 +80,44 @@ class TestHamiltonian:
         a = np.ones((2, 1))
         emp, se = hamiltonian_covariance_mc(m, a, a, 30000, seed=6)
         assert abs(emp - 0.5) <= 3.0 * se
+
+    def test_covariance_mc_draws_rows_from_one_stream_per_chunk(self, monkeypatch):
+        # 36 coefficients: row blocks of 455 draws, which straddle the chunk
+        # boundaries at 1000; the draws are those of one whole (take, 36)
+        # matrix per chunk generator
+        m = MixedModel(1, {2: [0.3]})
+        rng = spawn_rng(7)
+        a = rng.choice([-1.0, 1.0], size=(6, 1))
+        b = rng.choice([-1.0, 1.0], size=(6, 1))
+        monkeypatch.setattr(system, "COV_CHUNK", 1000)
+        n_draws = 2500
+        ca = system._hamiltonian_coefficients(m, a)
+        cb = system._hamiltonian_coefficients(m, b)
+        g = np.concatenate([spawn_rng(11, k).standard_normal((min(1000, n_draws - lo), 36))
+                            for k, lo in enumerate(range(0, n_draws, 1000))])
+        ha, hb = g @ ca, g @ cb
+        prod = (ha - ha.mean()) * (hb - hb.mean())
+        emp, se = hamiltonian_covariance_mc(m, a, b, n_draws, seed=11)
+        assert emp == pytest.approx(prod.mean(), rel=1e-14, abs=0.0)
+        assert se == pytest.approx(prod.std(ddof=1) / math.sqrt(n_draws), rel=1e-14, abs=0.0)
+
+    def test_covariance_mc_memory_is_draw_vectors_and_a_row_block(self):
+        import tracemalloc
+
+        # N = 6, p = 2: one (20000, 36) draw matrix alone is 5.5 MiB.  The
+        # estimator keeps two per-draw vectors and forms a few more for the
+        # product and its s.e., with one row block of BLOCK_ENTRIES normals
+        m = MixedModel(1, {2: [0.3]})
+        rng = spawn_rng(8)
+        a = rng.choice([-1.0, 1.0], size=(6, 1))
+        b = rng.choice([-1.0, 1.0], size=(6, 1))
+        n_draws = 20000
+        hamiltonian_covariance_mc(m, a, b, n_draws, seed=9)
+        tracemalloc.start()
+        hamiltonian_covariance_mc(m, a, b, n_draws, seed=9)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak < 8 * n_draws * 8 + BLOCK_ENTRIES * 8
 
 
 class TestExactFreeEnergy:
@@ -406,6 +445,39 @@ class TestGGDiscrepancy:
             gg_discrepancy(*args, seed=31)
         monkeypatch.setattr(system, "BUDGET", 256)
         assert np.isfinite(gg_discrepancy(*args, seed=31).delta)
+
+    def test_functional_of_the_wrong_shape_names_the_grid(self):
+        m = MixedModel(1, {2: [0.3]})
+        args = (m, COUNTING_ISING, PerturbationSpec(), 2, np.array([[1.0]]), 0.5)
+        # 4 configurations at N = 2: one slab holds the whole (4, 4) grid
+        with pytest.raises(ValidationError, match=r"to shape \(4, 4\).* gave \(4,\)"):
+            gg_discrepancy(*args, 2, lambda rn: rn[..., 0, 1, 0, 0].sum(axis=-1),
+                           ODD_TERM, 2, seed=1)
+        # 64 configurations at N = 6, n = 3: a functional that returns the
+        # whole grid's shape does not act tuple by tuple on a (1, 64, 64) slab
+        with pytest.raises(ValidationError, match=r"to shape \(64, 64, 64\)"):
+            gg_discrepancy(m, COUNTING_ISING, PerturbationSpec(), 6, np.array([[1.0]]),
+                           0.5, 3, lambda rn: np.zeros((64, 64, 64)), ODD_TERM, 2, seed=1)
+
+    def test_tuple_grid_memory_is_f_vals_and_a_slab(self):
+        import tracemalloc
+
+        # 64 configurations at N = 6, n = 3: the whole (64^3, 3, 3, 1, 1)
+        # overlap grid would be 19 MiB.  f_vals is 64^3 floats (2 MiB) and a
+        # slab one first-replica configuration, 64^2 tuples of 3 x 3 overlaps
+        # (288 KiB); three slabs more leave room for the configurations, the
+        # field's coefficients and the per-draw arrays
+        m = MixedModel(1, {2: [0.3]})
+        args = (m, COUNTING_ISING, PerturbationSpec(), 6, np.array([[1.0]]), 0.5, 3,
+                F_ENTRY, ODD_TERM, 2)
+        gg_discrepancy(*args, seed=32)
+        tracemalloc.start()
+        res = gg_discrepancy(*args, seed=32)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert res.components["n_configs"] == 64
+        f_vals, slab = 64**3 * 8, 64**2 * 3**2 * 8
+        assert peak < f_vals + 4 * slab
 
     def test_three_replicas_run(self):
         m = MixedModel(1, {2: [0.3]})
