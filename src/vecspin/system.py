@@ -21,8 +21,9 @@ from .parisi import BLOCK_ENTRIES
 from .prior import SpinPrior, build_modifier, self_overlap
 from .rng import check_replications, mean_and_se, parallel_map, spawn_rng
 
-#: Largest coupling tensor, configuration count or replica-tuple grid the
-#: exact computations build; beyond it they raise BudgetError first.
+#: Largest coupling tensor, configuration count or replica-tuple grid (counted
+#: whole, though streamed) the exact computations handle; beyond it they raise
+#: BudgetError first.
 BUDGET = 10**7
 
 #: Disorder draws per generator of the covariance Monte Carlo (chunk k draws
