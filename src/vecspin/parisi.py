@@ -82,7 +82,7 @@ from .mixing import (
     validate_gram,
     xi_prime_matrix,
 )
-from .prior import ConstraintHull, SpinPrior
+from .prior import ConstraintHull, SpinPrior, newton_dual
 from .rng import check_replications, check_threads, mean_and_se, parallel_map, spawn_rng
 
 #: Below this, an x value is treated as exactly zero (plain expectation branch).
@@ -108,9 +108,6 @@ BLOCK_ENTRIES = 1 << 14
 #: ``_bottom_separable`` exceeds the smallest normal float, so none
 #: underflows, and the walk is separable (``_shared_nodes``).
 SEPARABLE_SPREAD = -math.log(np.finfo(float).tiny)
-
-#: The lambda solve of ``phi_star`` stops once max |gradient| falls to this.
-GRAD_TOL = 1e-8
 
 #: First step of the outer hull ascent in ``optimize``; halved on each
 #: rejected step, which stops the ascent below 1e-4.
@@ -902,51 +899,22 @@ def phi_star(model, prior, d, path: Path, spec: EvalSpec,
              opt: OptimizerSpec | None = None, lam0=None) -> PhiStarResult:
     """inf over lambda of -<lambda, D> + Phi(lambda), by damped Newton steps.
 
-    lambda moves only the atom scores <lambda, P_a> (P_a: pair products), so
-    the convex objective is linear along directions with one <n, P_a> for
-    all atoms.  Newton works in the span of the P_a - P_0 on the central
-    difference of the exact gradient, eigenvalues floored at 1e-10 of the
-    largest, halving each step until it passes the Armijo rule.  It stops on
-    max |g| <= GRAD_TOL ("gradient"), ``max_iter``, no Armijo step down to
-    t < 1e-16 ("no_descent"), or D off the atoms' hull ("unbounded": a flat
-    direction's gradient, or no curvature left in the span; inf = -inf).
+    The solve is ``prior.newton_dual``, the routine of ``hull_membership``,
+    on the prepared recursion.  ``stop_reason`` is its stop: "gradient",
+    "iterations" (``max_iter``), "no_descent" or "unbounded" (D off the
+    atoms' hull; inf = -inf).
     """
     opt = opt or OptimizerSpec()
     d = validate_gram(d, name="constraint matrix D", kappa=prior.kappa)
     d_upper = upper_entries(d)
     lam = lambda_zero(prior.kappa) if lam0 is None else lambda_validate(lam0, prior.kappa)
     rec = _Prepared(model, prior, path, spec)
-    _, sv, vt = np.linalg.svd(rec.pair[1:] - rec.pair[0])
-    span, flat = np.split(vt, [int(np.sum(sv > 1e-10 * sv.max(initial=0.0)))])
 
     def value_and_grad(l):
         v, g = rec.value_and_grad(l)
         return v - float(l @ d_upper), g - d_upper
 
-    f, g = value_and_grad(lam)
-    it, reason = 0, "iterations"
-    for it in range(1, opt.max_iter + 1):
-        if float(np.max(np.abs(g))) <= GRAD_TOL:
-            reason = "gradient"
-            break
-        if float(np.linalg.norm(flat @ g)) > GRAD_TOL:
-            reason = "unbounded"
-            break
-        hess = np.array([value_and_grad(lam + e)[1] - value_and_grad(lam - e)[1]
-                         for e in span * 1e-4]) @ span.T / 2e-4
-        w, v = np.linalg.eigh((hess + hess.T) / 2.0)
-        if w[-1] <= 0.0:
-            reason = "unbounded"
-            break
-        step = -span.T @ (v @ ((v.T @ (span @ g)) / np.maximum(w, 1e-10 * w[-1])))
-        for t in 0.5 ** np.arange(54):  # halves down to 2^-53, the last above 1e-16
-            ft, gt = value_and_grad(lam + t * step)
-            if ft < f and ft <= f + 1e-4 * t * float(g @ step):  # not lost to rounding
-                break
-        else:
-            reason = "no_descent"
-            break
-        lam, f, g = lam + t * step, ft, gt
+    lam, f, g, it, reason = newton_dual(value_and_grad, rec.pair, lam, opt.max_iter)
     return PhiStarResult(f, lam, reason == "gradient", it, float(np.max(np.abs(g))), reason)
 
 

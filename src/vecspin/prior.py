@@ -2,8 +2,8 @@
 
 The prior is a finite list of weighted atoms in R^kappa.  Self-overlaps of
 configurations drawn from it live in the convex hull of the rank-one
-matrices sigma sigma^T over the atoms, and the hull membership problem for a
-candidate constraint matrix D is a small linear program.
+matrices sigma sigma^T over the atoms.  Whether D lies in it is a convex dual
+over lambda, solved by ``parisi.phi_star``'s damped Newton (``newton_dual``).
 
 The modifier construction takes a self-overlap R close to a target D and
 produces a matrix A with A R A^T equal to the spectral truncation of D
@@ -20,12 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfeasibleError, NumericalError, ValidationError
+from .errors import NumericalError, ValidationError
 from .mixing import validate_gram
 
-#: Largest entrywise violation at which ``hull_membership`` reports D inside
-#: the hull.
-HULL_TOL = 1e-8
+#: ``newton_dual`` stops at max |gradient| <= GRAD_TOL; hull residuals up to it pass.
+GRAD_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -125,65 +124,96 @@ class ConstraintHull:
         return np.einsum("a,akl->kl", w, self.generators)
 
 
+def _pair_span(pair: np.ndarray):
+    """Orthonormal rows (span, flat): the P_a - P_0's span (cutoff 1e-10) and its rest."""
+    _, sv, vt = np.linalg.svd(pair[1:] - pair[0])
+    return np.split(vt, [int(np.sum(sv > 1e-10 * sv.max(initial=0.0)))])
+
+
+def newton_dual(value_and_grad, pair: np.ndarray, lam, max_iter: int = 500):
+    """Minimise a convex f(lambda) that lambda moves only through the atom
+    scores <lambda, P_a> (``pair``: one row P_a per atom) by damped Newton
+    steps from ``lam``; returns (lambda, f, gradient, iterations, reason).
+
+    Steps solve in the span of the P_a - P_0 (f is linear off it) with the
+    central difference of the exact gradient, eigenvalues floored at 1e-10
+    of the largest, and halve until they pass the Armijo rule or, with f's
+    decrease lost to rounding, lower max |g|.  Stops: max |g| <= GRAD_TOL
+    ("gradient"), ``max_iter`` ("iterations"), no such step down to
+    t < 1e-16 ("no_descent"), or f unbounded below ("unbounded": a gradient
+    off the span, or no curvature left in it).
+    """
+    span, flat = _pair_span(pair)
+    f, g = value_and_grad(lam)
+    it, reason = 0, "iterations"
+    for it in range(1, max_iter + 1):
+        g_max = float(np.max(np.abs(g)))
+        if g_max <= GRAD_TOL:
+            reason = "gradient"
+            break
+        if float(np.linalg.norm(flat @ g)) > GRAD_TOL:
+            reason = "unbounded"
+            break
+        hess = np.array([value_and_grad(lam + e)[1] - value_and_grad(lam - e)[1]
+                         for e in span * 1e-4]) @ span.T / 2e-4
+        w, v = np.linalg.eigh((hess + hess.T) / 2.0)
+        if w[-1] <= 0.0:
+            reason = "unbounded"
+            break
+        step = -span.T @ (v @ ((v.T @ (span @ g)) / np.maximum(w, 1e-10 * w[-1])))
+        for t in 0.5 ** np.arange(54):  # halves down to 2^-53, the last above 1e-16
+            ft, gt = value_and_grad(lam + t * step)
+            if (ft < f and ft <= f + 1e-4 * t * float(g @ step)  # not lost to rounding
+                    or ft <= f + 1e-15 * max(1.0, abs(f)) and np.max(np.abs(gt)) < g_max):
+                break
+        else:
+            reason = "no_descent"
+            break
+        lam, f, g = lam + t * step, ft, gt
+    return lam, f, g, it, reason
+
+
 @dataclass(frozen=True)
 class HullMembership:
     feasible: bool
-    weights: np.ndarray | None
+    weights: np.ndarray
     max_violation: float
-    worst_entry: tuple[int, int] | None
+    worst_entry: tuple[int, int]
 
 
 def hull_membership(hull: ConstraintHull, d) -> HullMembership:
     """Decide whether ``d`` is a convex combination of the hull generators.
 
-    Solves min t subject to |sum_j w_j G_j - d| <= t entrywise, sum w = 1,
-    w >= 0, and reports success when the optimum t* <= ``HULL_TOL``, along
-    with the certificate weights.  On failure the entry of largest violation
-    at the best weights is reported.
+    ``newton_dual`` minimises log sum_j exp(<lambda, G_j - D'>) over upper
+    entries, D' being ``d`` projected onto the generators' affine hull along
+    the flat directions.  The stop's tilted weights pi (on the simplex) are
+    returned with the largest entry of |sum_j pi_j G_j - d|, feasible when at
+    most ``GRAD_TOL``.  Else that residual of the returned weights bounds the
+    sup-norm distance from the hull, and is it when D' is in the hull and
+    ``d`` is off it only in entries that every generator shares.
     """
     d = np.asarray(d, dtype=float)
-    kappa = hull.kappa
-    if d.shape != (kappa, kappa):
-        raise ValidationError(f"constraint matrix must be {kappa}x{kappa}")
-    n = hull.n_generators
-    iu = np.triu_indices(kappa)
+    if d.shape != (hull.kappa, hull.kappa):
+        raise ValidationError(f"constraint matrix must be {hull.kappa}x{hull.kappa}")
+    iu = np.triu_indices(hull.kappa)
     g = hull.generators[:, iu[0], iu[1]]  # (n, n_entries)
-    target = d[iu]
-    n_entries = target.size
+    _, flat = _pair_span(g)
+    shifted = g - (d[iu] - flat.T @ (flat @ (d[iu] - g[0])))  # G_j - D'
 
-    # variables: [w_1..w_n, t]
-    c = np.zeros(n + 1)
-    c[-1] = 1.0
-    a_ub = np.zeros((2 * n_entries, n + 1))
-    b_ub = np.zeros(2 * n_entries)
-    a_ub[:n_entries, :n] = g.T
-    a_ub[:n_entries, -1] = -1.0
-    b_ub[:n_entries] = target
-    a_ub[n_entries:, :n] = -g.T
-    a_ub[n_entries:, -1] = -1.0
-    b_ub[n_entries:] = -target
-    a_eq = np.zeros((1, n + 1))
-    a_eq[0, :n] = 1.0
-    from scipy.optimize import linprog  # deferred: slow to import, only this LP needs it
+    def tilt(lam):  # (log sum_j exp(<lambda, G_j - D'>), pi)
+        s = shifted @ lam
+        e = np.exp(s - s.max())
+        return float(s.max() + np.log(e.sum())), e / e.sum()
 
-    res = linprog(
-        c,
-        A_ub=a_ub,
-        b_ub=b_ub,
-        A_eq=a_eq,
-        b_eq=[1.0],
-        bounds=[(0, None)] * n + [(0, None)],
-        method="highs",
-    )
-    if not res.success:
-        raise NumericalError(f"hull membership LP failed: {res.message}")
-    w = res.x[:n]
-    resid = np.abs(hull.combine(w) - d)
+    def value_and_grad(lam):
+        f, pi = tilt(lam)
+        return f, pi @ shifted
+
+    pi = tilt(newton_dual(value_and_grad, g, np.zeros(g.shape[1]))[0])[1]
+    resid = np.abs(hull.combine(pi) - d)
     worst = np.unravel_index(int(np.argmax(resid)), resid.shape)
     viol = float(resid[worst])
-    if viol <= HULL_TOL:
-        return HullMembership(True, w, viol, None)
-    return HullMembership(False, None, viol, (int(worst[0]), int(worst[1])))
+    return HullMembership(viol <= GRAD_TOL, pi, viol, (int(worst[0]), int(worst[1])))
 
 
 def self_overlap(config) -> np.ndarray:

@@ -21,9 +21,9 @@ from .parisi import BLOCK_ENTRIES
 from .prior import SpinPrior, build_modifier, self_overlap
 from .rng import check_replications, mean_and_se, parallel_map, spawn_rng
 
-#: Largest coupling tensor, configuration count or replica-tuple grid (counted
-#: whole, though streamed) the exact computations handle; beyond it they raise
-#: BudgetError first.
+#: Largest coupling tensor, configuration count or replica-tuple values plus
+#: one slab of their overlaps the exact computations handle; beyond it they
+#: raise BudgetError first.
 BUDGET = 10**7
 
 #: Disorder draws per generator of the covariance Monte Carlo (chunk k draws
@@ -565,10 +565,12 @@ def gg_discrepancy(model: MixedModel, prior: SpinPrior, spec: PerturbationSpec,
     check_replications(n_disorder)
     configs, logw, _ = _constrained_configs(prior, n_sites, d, eps)
     n_cfg, _, kappa = configs.shape
-    if n_cfg**n_replicas * (n_replicas * kappa) ** 2 > BUDGET:
+    rest, width = n_cfg ** (n_replicas - 1), (n_replicas * kappa) ** 2
+    run = max(1, BLOCK_ENTRIES // (rest * width))
+    if n_cfg * rest + min(n_cfg, run) * rest * width > BUDGET:  # f_vals and one slab
         raise BudgetError(
-            f"the overlaps of {n_cfg}^{n_replicas} replica tuples exceed the budget; "
-            "reduce n_sites or n_replicas"
+            f"the values and overlaps of {n_cfg}^{n_replicas} replica tuples exceed the "
+            "budget; reduce n_sites or n_replicas"
         )
     modified = _modified_configs(configs, d, eps)
     field = _perturbation_field(spec, prior, modified)
@@ -580,7 +582,6 @@ def gg_discrepancy(model: MixedModel, prior: SpinPrior, spec: PerturbationSpec,
     shape = (n_cfg,) * n_replicas
     f_vals = np.empty(shape)
     grid = np.indices(shape, sparse=True)
-    run = max(1, BLOCK_ENTRIES // (f_vals[0].size * (n_replicas * kappa) ** 2))
     for start in range(0, n_cfg, run):
         part = f_vals[start:start + run]
         slab = [grid[0][start:start + run], *grid[1:]]

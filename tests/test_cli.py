@@ -153,6 +153,29 @@ class TestValidateAndParisi:
         assert report["command"] == "validate"
         assert any("summability" in w for w in report["warnings"])
 
+    def test_validate_warns_off_hull_endpoint(self, tmp_path, capsys):
+        # sigma_1 sigma_2 = 0 on both axis atoms, so D_12 = 0.1 is off the hull
+        text = """
+model:
+  kappa: 2
+  coefficients:
+    2: [0.2, 0.2]
+prior:
+  atoms:
+    - point: [1.0, 0.0]
+      weight: 0.5
+    - point: [0.0, 1.0]
+      weight: 0.5
+path:
+  x: [1.0]
+  gammas:
+    - [[0.5, 0.1], [0.1, 0.5]]
+"""
+        code, report = run(capsys, "validate", "--config", write(tmp_path, text))
+        assert code == 0
+        assert report["warnings"] == ["path endpoint is outside the constraint hull "
+                                      "(violation 0.1 at entry (0, 1))"]
+
     def test_parisi_value(self, tmp_path, capsys):
         code, report = run(capsys, "parisi", "--config", write(tmp_path, SK_CONFIG))
         assert code == 0

@@ -27,7 +27,7 @@ from vecspin import (
     simulate_phi,
     simulate_y_functional,
 )
-from vecspin.mixing import theta_matrix, xi_prime_matrix
+from vecspin.mixing import theta_matrix, xi_matrix, xi_prime_matrix
 from vecspin.parisi import (
     BLOCK_ENTRIES,
     SEPARABLE_SPREAD,
@@ -889,6 +889,31 @@ class TestPhiStar:
         m = MixedModel(2, {2: [0.3, 0.35], 4: [0.4, 0.5]})
         res = phi_star(m, prior, d, Path([0.5], [d]), EvalSpec(nodes_per_level=10))
         assert res.converged and res.stop_reason == "gradient"
+
+    def test_interior_point_not_stalled_by_rounding(self):
+        # D = 1.663 is interior (weights 0.6 / 0.3 / 0.1); near the optimum
+        # f's decrease is below its rounding while |g| ~ 1e-8 still falls, and
+        # that step must be taken rather than end the solve as "no_descent"
+        prior = SpinPrior.from_atoms([([0.7], 1.0), ([-2.0], 1.0), ([-1.3], 1.0)])
+        d = np.array([[1.663]])
+        for m in (MixedModel(1), MixedModel(1, {2: [0.3]})):
+            res = phi_star(m, prior, d, Path([1.0], [d]), QUAD)
+            assert res.converged and res.stop_reason == "gradient"
+
+    def test_annealed_closed_form(self):
+        # on x = 1 the transform is the Cramer dual of the prior's
+        # self-overlap; on heisenberg_like's atoms, D = diag(t, 1 - t) has
+        # I(D) = KL((t, 1 - t) | (1/2, 1/2)), so the free model gives -I(D)
+        # and the full functional at the solve gives (1/2) Sum xi(D) - I(D)
+        for t in (0.2, 0.5, 0.5136191738, 0.8):
+            d = np.diag([t, 1.0 - t])
+            path = Path([1.0], [d])
+            rate = t * math.log(2.0 * t) + (1.0 - t) * math.log(2.0 * (1.0 - t))
+            free = phi_star(MixedModel(2), HEIS_PRIOR, d, path, QUAD)
+            assert abs(free.value + rate) <= 1e-12
+            res = phi_star(HEIS_MODEL, HEIS_PRIOR, d, path, QUAD)
+            value = eval_parisi(HEIS_MODEL, HEIS_PRIOR, res.lam, d, path, QUAD).value
+            assert abs(value - (0.5 * xi_matrix(HEIS_MODEL, d).sum() - rate)) <= 1e-12
 
     def test_iteration_budget_reason(self):
         prior = SpinPrior.from_atoms([([1.0], 0.4), ([-1.0], 0.4), ([0.0], 0.2)])

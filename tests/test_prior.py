@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -86,6 +90,7 @@ class TestHullMembership:
         res = hull_membership(hull, hull.generators[0])
         assert res.feasible
         np.testing.assert_allclose(res.weights, [1.0, 0.0], atol=1e-7)
+        assert abs(res.weights.sum() - 1.0) <= 1e-12
 
     def test_two_axis_atoms(self):
         prior = SpinPrior.from_atoms([([1.0, 0.0], 0.5), ([0.0, 1.0], 0.5)])
@@ -93,6 +98,34 @@ class TestHullMembership:
         res = hull_membership(hull, np.diag([0.5, 0.5]))
         assert res.feasible
         np.testing.assert_allclose(res.weights, [0.5, 0.5], atol=1e-7)
+        assert abs(res.weights.sum() - 1.0) <= 1e-12
+
+    def test_off_affine_hull_by_less_than_rounding_of_an_lp(self):
+        # every atom has sigma_2^2 = 1, so D_22 = 1 + 9e-8 is off the hull by
+        # 9e-8 in that entry, while (D_11, D_12) is inside it; weights that
+        # reach D exactly must leave the simplex
+        prior = SpinPrior.from_atoms([([1.0, -1.0], 1.0), ([1.0, 1.0], 1.0),
+                                      ([0.0, -1.0], 1.0)])
+        d = np.array([[0.99587174, 0.24235458], [0.24235458, 1.0 + 9e-8]])
+        res = hull_membership(ConstraintHull.from_prior(prior), d)
+        assert not res.feasible
+        assert res.worst_entry == (1, 1)
+        assert abs(res.max_violation - 9e-8) <= 1e-9
+        assert abs(res.weights.sum() - 1.0) <= 1e-12 and np.all(res.weights >= 0.0)
+
+    def test_loads_no_scipy(self):
+        import vecspin
+
+        src = os.path.dirname(os.path.dirname(vecspin.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        code = ("import sys; from vecspin.prior import ConstraintHull, hull_membership, "
+                "ising_prior; hull_membership(ConstraintHull.from_prior(ising_prior(2)), "
+                "[[1.0, 0.0], [0.0, 1.0]]); print(sorted(m for m in sys.modules "
+                "if m.split('.')[0] == 'scipy'))")
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, timeout=60, check=True).stdout
+        assert out.strip() == "[]"
 
 
 class TestTruncateConstraint:

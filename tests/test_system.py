@@ -418,20 +418,36 @@ class TestGGDiscrepancy:
             assert min(abs(v) for v in want) > 1e-4
             assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
-    def test_budget_counts_the_whole_overlap_grid(self, monkeypatch):
-        # kappa = 2, 16 configurations, n = 2: 16^2 tuples of 2 x 2 replica
-        # pairs of 2 x 2 overlaps, 4096 entries
+    def test_budget_counts_the_values_and_one_slab(self, monkeypatch):
+        # kappa = 2, 16 configurations, n = 2: 16^2 values of f, and one slab
+        # of all 16 first-replica configurations (BLOCK_ENTRIES allows 64)
+        # with 16 second-replica ones and 2 x 2 replica pairs of 2 x 2
+        # overlaps, 4096 entries: 4352 in all
         prior = SpinPrior.from_atoms([([1.0, 0.5], 1.0), ([-1.0, 0.5], 2.0),
                                       ([0.6, -0.8], 1.0), ([-0.6, -0.8], 3.0)])
         term = PerturbationTerm(p=1, ns=(1,), lambdas=np.array([[1.0, 1.0]]))
         d = np.array([[0.68, 0.0], [0.0, 0.445]])
         args = (MixedModel(2, {}), prior, PerturbationSpec(), 2, d, 0.51, 2, F_ENTRY,
                 term, 2)
-        monkeypatch.setattr(system, "BUDGET", 4095)
+        monkeypatch.setattr(system, "BUDGET", 4351)
         with pytest.raises(BudgetError):
             gg_discrepancy(*args, seed=30)
-        monkeypatch.setattr(system, "BUDGET", 4096)
+        monkeypatch.setattr(system, "BUDGET", 4352)
         assert gg_discrepancy(*args, seed=30).components["n_configs"] == 16
+
+    def test_budget_admits_ising_at_seven_sites_and_three_replicas(self, monkeypatch):
+        # 2^7 configurations, n = 3: 128^3 values of f and a slab of one
+        # first-replica configuration (BLOCK_ENTRIES allows less) with
+        # 128^2 tuples of 3 x 3 overlaps, 2,244,608 entries in all; the grid
+        # of overlaps, 128^3 x 9 entries, is never built
+        assert BLOCK_ENTRIES < 128**2 * 9
+        args = (MixedModel(1, {2: [0.3]}), COUNTING_ISING, PerturbationSpec(), 7,
+                np.array([[1.0]]), 0.5, 3, F_ENTRY, ODD_TERM, 1)
+        monkeypatch.setattr(system, "BUDGET", 128**3 + 128**2 * 9 - 1)
+        with pytest.raises(BudgetError):
+            gg_discrepancy(*args, seed=31)
+        monkeypatch.setattr(system, "BUDGET", 128**3 + 128**2 * 9)
+        assert gg_discrepancy(*args, seed=31).components["n_configs"] == 128
 
     def test_budget_counts_the_perturbation_coefficients(self, monkeypatch):
         # 4 configurations and a term over 2^(2 * 3) coupling entries: a
