@@ -100,7 +100,7 @@ class TestHullMembership:
         np.testing.assert_allclose(res.weights, [0.5, 0.5], atol=1e-7)
         assert abs(res.weights.sum() - 1.0) <= 1e-12
 
-    def test_off_affine_hull_by_less_than_rounding_of_an_lp(self):
+    def test_just_off_an_entry_every_atom_fixes(self):
         # every atom has sigma_2^2 = 1, so D_22 = 1 + 9e-8 is off the hull by
         # 9e-8 in that entry, while (D_11, D_12) is inside it; weights that
         # reach D exactly must leave the simplex
